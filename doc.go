@@ -26,7 +26,7 @@
 // while the exchange is in flight, and each peer's boundary-dependent rows
 // complete in arrival order — whichever peer's payload lands first, via the
 // transports' completion notifications — bit-identical to the serialized
-// schedule (-overlap=false) and to the rank-order drain (-drain=rank).
+// schedule (-overlap=false).
 // EpochStats reports communication as raw span vs exposed (unoverlapped)
 // time; see PERFORMANCE.md "Overlapped halo exchange".
 package repro

@@ -10,51 +10,43 @@ import (
 )
 
 // FullTrainer trains a model on the whole graph in a single process — the
-// exact full-graph reference that BNS-GCN with p=1 must match, and the
-// substrate the sampling-based baselines (Tables 4, 5, 11) run on.
+// exact full-graph reference that BNS-GCN with p=1 must match — and is the
+// exact full-graph evaluator the parallel and sampling-based trainers
+// (Tables 4, 5, 11) score their models with.
 type FullTrainer struct {
-	DS     *datagen.Dataset
-	Model  *Model
-	Opt    optim.Optimizer
+	DS    *datagen.Dataset
+	Model *Model
+	Opt   optim.Optimizer
+
+	// The full graph is static: its aggregation plan and mean normalizer
+	// are built once.
+	agg    *graph.AggIndex
 	invDeg []float32
 }
 
-// NewFullTrainer builds the reference trainer with an Adam optimizer. The
-// full graph is static, so its aggregation plan is built once and installed
-// on the model here.
+// NewFullTrainer builds the reference trainer with an Adam optimizer.
 func NewFullTrainer(ds *datagen.Dataset, cfg ModelConfig) (*FullTrainer, error) {
 	model, err := NewModel(cfg, ds.FeatureDim(), ds.NumClasses)
 	if err != nil {
 		return nil, err
 	}
-	model.SetAgg(graph.NewAggIndex(ds.G))
-	return &FullTrainer{
-		DS:     ds,
-		Model:  model,
-		Opt:    optim.NewAdam(cfg.LR),
-		invDeg: nn.InvDegrees(ds.G),
-	}, nil
+	t := NewFullTrainerFor(ds, model)
+	t.Opt = optim.NewAdam(cfg.LR)
+	return t, nil
+}
+
+// NewFullTrainerFor wraps an existing model for full-graph passes over ds.G,
+// building the graph's aggregation plan and degree normalizer once. Opt is
+// left nil: set it before TrainEpoch, or use the result only to Forward and
+// Evaluate.
+func NewFullTrainerFor(ds *datagen.Dataset, model *Model) *FullTrainer {
+	return &FullTrainer{DS: ds, Model: model, agg: graph.NewAggIndex(ds.G), invDeg: nn.InvDegrees(ds.G)}
 }
 
 // Forward runs the model over the full graph and returns logits for every
 // node. train enables dropout.
 func (t *FullTrainer) Forward(train bool) *tensor.Matrix {
-	h := t.DS.Features
-	for l, layer := range t.Model.LayersL {
-		h = t.Model.Dropouts[l].Forward(h, train)
-		h = layer.Forward(t.DS.G, h, t.DS.G.N, t.invDeg)
-	}
-	return h
-}
-
-// backwardFrom propagates dLogits through the model, accumulating parameter
-// gradients.
-func (t *FullTrainer) backwardFrom(dLogits *tensor.Matrix) {
-	d := dLogits
-	for l := len(t.Model.LayersL) - 1; l >= 0; l-- {
-		d = t.Model.LayersL[l].Backward(d)
-		d = t.Model.Dropouts[l].Backward(d)
-	}
+	return t.Model.Forward(t.DS.G, t.agg, t.DS.Features, t.invDeg, train)
 }
 
 // TrainEpoch runs one full-graph training step and returns the train loss.
@@ -62,7 +54,7 @@ func (t *FullTrainer) TrainEpoch() float64 {
 	logits := t.Forward(true)
 	loss, dLogits := Loss(t.DS, logits, t.DS.Labels, t.DS.LabelMatrix, t.DS.TrainMask, 0)
 	t.Model.ZeroGrad()
-	t.backwardFrom(dLogits)
+	t.Model.Backward(dLogits)
 	t.Opt.Step(t.Model.Params(), t.Model.Grads())
 	return loss
 }

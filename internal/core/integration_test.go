@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
-	"repro/internal/nn"
 	"repro/internal/partition"
 )
 
@@ -215,8 +214,7 @@ func TestEvalAgreesWithManualForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	clone.CopyWeightsFrom(par.Models[0])
-	ft := &FullTrainer{DS: ds, Model: clone, invDeg: nn.InvDegrees(ds.G)}
-	want := ft.Evaluate(ds.TestMask)
+	want := NewFullTrainerFor(ds, clone).Evaluate(ds.TestMask)
 	if got != want {
 		t.Fatalf("Evaluate %v != manual %v", got, want)
 	}

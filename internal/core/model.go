@@ -51,9 +51,10 @@ func (c *ModelConfig) Validate() error {
 // a local node space producing outputs for the first nOut rows, backward
 // returning input gradients for all rows.
 //
-// Besides the one-shot Forward/Backward (what the full-graph trainers use),
-// every layer exposes the chunked passes the pipelined epoch engine runs so
-// halo exchange can overlap with halo-independent compute:
+// Besides the one-shot Forward/Backward (what Model.Forward/Backward run for
+// the full-graph trainers), every layer exposes the chunked passes the
+// pipelined epoch engine runs so halo exchange can overlap with
+// halo-independent compute:
 //
 //   - ForwardBegin → ForwardPrep/ForwardRows: rows whose aggregation reads no
 //     halo slot can run while boundary features are in flight; the remaining
@@ -72,7 +73,7 @@ type GraphLayer interface {
 	// transposed index plus edge-balanced chunk boundaries) the layer's
 	// passes run over. The plan must be built from the same graph the
 	// passes receive; trainers rebuild it whenever the epoch graph changes.
-	// nil reverts to the layers' serial fallback with identical bits.
+	// Every pass needs one: a pass with no plan installed panics.
 	SetAgg(ai *graph.AggIndex)
 
 	// ForwardBegin prepares a chunked pass and returns the output matrix the
@@ -183,6 +184,31 @@ func (m *Model) Layers() []nn.Layer { return m.layersCache }
 func (m *Model) SetAgg(ai *graph.AggIndex) {
 	for _, l := range m.LayersL {
 		l.SetAgg(ai)
+	}
+}
+
+// Forward runs the whole stack over g, producing outputs for every row:
+// per layer, dropout (identity unless train) and then the graph layer. ai
+// must be the aggregation plan built from g; it is installed on every layer
+// first, so trainers that alternate between graphs (a sampled batch, then
+// the full graph for evaluation) pass each graph with its own plan. The
+// returned logits are layer-owned scratch, valid until the next Forward.
+func (m *Model) Forward(g *graph.Graph, ai *graph.AggIndex, h *tensor.Matrix, invDeg []float32, train bool) *tensor.Matrix {
+	m.SetAgg(ai)
+	for l, layer := range m.LayersL {
+		h = m.Dropouts[l].Forward(h, train)
+		h = layer.Forward(g, h, g.N, invDeg)
+	}
+	return h
+}
+
+// Backward propagates dLogits down the stack through the last Forward's
+// layers and dropout masks, accumulating parameter gradients.
+func (m *Model) Backward(dLogits *tensor.Matrix) {
+	d := dLogits
+	for l := len(m.LayersL) - 1; l >= 0; l-- {
+		d = m.LayersL[l].Backward(d)
+		d = m.Dropouts[l].Backward(d)
 	}
 }
 

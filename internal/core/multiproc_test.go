@@ -123,10 +123,6 @@ func TestMultiProcessLoopback(t *testing.T) { mpRun(t, ScheduleSerialized) }
 // over real sockets must still reproduce the in-process run bit for bit.
 func TestMultiProcessLoopbackOverlap(t *testing.T) { mpRun(t, ScheduleOverlap) }
 
-// TestMultiProcessLoopbackOverlapRank covers the rank-order pipelined drain
-// across processes.
-func TestMultiProcessLoopbackOverlapRank(t *testing.T) { mpRun(t, ScheduleOverlapRank) }
-
 func mpRun(t *testing.T, sched Schedule) {
 	if os.Getenv(mpEnvRank) != "" {
 		t.Skip("already inside a helper process")

@@ -8,9 +8,8 @@ import (
 )
 
 // TestOverlapBitIdentical is the pipelined engine's equivalence proof: the
-// same seeded dataset trained with the pipelined schedules — rank-order
-// drain and arrival-order drain — must produce, epoch for epoch,
-// bit-identical losses, bit-identical weights on every rank, and identical
+// same seeded dataset trained with the pipelined schedule (arrival-order
+// drain) must produce, epoch for epoch, bit-identical losses, bit-identical weights on every rank, and identical
 // per-rank payload byte/message counts as the serialized schedule — over
 // both transports, for k ∈ {2, 4}, for both architectures, with dropout on
 // (the mask RNG stream order is part of the contract) and p < 1 (so
@@ -22,8 +21,6 @@ func TestOverlapBitIdentical(t *testing.T) {
 			topo := testTopology(t, ds, k)
 			mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
 			base := ParallelConfig{Model: mc, P: 0.5, SampleSeed: 17, Schedule: ScheduleSerialized}
-			rankOrder := base
-			rankOrder.Schedule = ScheduleOverlapRank
 			arrivalOrder := base
 			arrivalOrder.Schedule = ScheduleOverlap
 
@@ -47,10 +44,8 @@ func TestOverlapBitIdentical(t *testing.T) {
 			}
 			runs := []run{
 				mk("chan/serialized", base, nil),
-				mk("chan/overlap-rank", rankOrder, nil),
 				mk("chan/overlap-arrival", arrivalOrder, nil),
 				mk("tcp/serialized", base, tcpLoopbackGroup(t, k)),
-				mk("tcp/overlap-rank", rankOrder, tcpLoopbackGroup(t, k)),
 				mk("tcp/overlap-arrival", arrivalOrder, tcpLoopbackGroup(t, k)),
 			}
 
@@ -89,9 +84,8 @@ func TestOverlapBitIdentical(t *testing.T) {
 // TestOverlapArrivalSkewedLinksBitIdentical forces peer completion order to
 // invert — a skewed comm.WithLinkModel makes the lowest-rank peer's payloads
 // the slowest, so the arrival-order drain consumes peers in descending rank
-// order while the rank-order drain head-of-line blocks — and requires the
-// results to stay bit-identical to the un-modeled serialized schedule for
-// both architectures and both pipelined drains. This is the determinism
+// order — and requires the results to stay bit-identical to the un-modeled
+// serialized schedule. This is the determinism
 // argument under real out-of-order completion, not just under loopback's
 // near-FIFO timing.
 func TestOverlapArrivalSkewedLinksBitIdentical(t *testing.T) {
@@ -119,35 +113,22 @@ func TestOverlapArrivalSkewedLinksBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		type skewed struct {
-			name string
-			tr   *ParallelTrainer
-		}
-		var runs []skewed
-		for _, sched := range []Schedule{ScheduleOverlapRank, ScheduleOverlap} {
-			cfg := base
-			cfg.Schedule = sched
-			tr, err := NewParallelTrainerOver(ds, topo, cfg, comm.WithLinkModel(comm.New(k, 0), model))
-			if err != nil {
-				t.Fatal(err)
-			}
-			runs = append(runs, skewed{name: sched.String(), tr: tr})
+		cfg := base
+		cfg.Schedule = ScheduleOverlap
+		tr, err := NewParallelTrainerOver(ds, topo, cfg, comm.WithLinkModel(comm.New(k, 0), model))
+		if err != nil {
+			t.Fatal(err)
 		}
 		const epochs = 3
 		for e := 0; e < epochs; e++ {
-			want := ref.TrainEpoch()
-			for _, r := range runs {
-				got := r.tr.TrainEpoch()
-				if got.Loss != want.Loss {
-					t.Fatalf("k=%d %s epoch %d: loss %.17g != %.17g under skewed links", k, r.name, e, got.Loss, want.Loss)
-				}
+			want, got := ref.TrainEpoch(), tr.TrainEpoch()
+			if got.Loss != want.Loss {
+				t.Fatalf("k=%d epoch %d: loss %.17g != %.17g under skewed links", k, e, got.Loss, want.Loss)
 			}
 		}
 		for r := 0; r < k; r++ {
-			for _, rr := range runs {
-				if d := MaxParamDiff(ref.Models[r], rr.tr.Models[r]); d != 0 {
-					t.Fatalf("k=%d %s rank %d: weights diverged by %v under skewed links", k, rr.name, r, d)
-				}
+			if d := MaxParamDiff(ref.Models[r], tr.Models[r]); d != 0 {
+				t.Fatalf("k=%d rank %d: weights diverged by %v under skewed links", k, r, d)
 			}
 		}
 	}
@@ -156,7 +137,7 @@ func TestOverlapArrivalSkewedLinksBitIdentical(t *testing.T) {
 // TestOverlapWorstCaseAllBoundaryDependent pins the degenerate schedule: at
 // p=1 on a topology where every inner node of every partition has a remote
 // neighbor, the halo-free chunk can be empty (zero overlap available) and
-// both pipelined schedules must still be exactly equivalent.
+// the pipelined schedule must still be exactly equivalent.
 func TestOverlapWorstCaseAllBoundaryDependent(t *testing.T) {
 	ds := testDataset(t, 31)
 	const k = 2
@@ -164,27 +145,25 @@ func TestOverlapWorstCaseAllBoundaryDependent(t *testing.T) {
 	mc := ModelConfig{Arch: ArchSAGE, Layers: 2, Hidden: 16, Dropout: 0.5, LR: 0.01, Seed: 3}
 	base := ParallelConfig{Model: mc, P: 1, SampleSeed: 13, Schedule: ScheduleSerialized}
 
-	for _, sched := range []Schedule{ScheduleOverlapRank, ScheduleOverlap} {
-		cfg := base
-		cfg.Schedule = sched
-		b, err := NewParallelTrainer(ds, topo, cfg)
-		if err != nil {
-			t.Fatal(err)
+	cfg := base
+	cfg.Schedule = ScheduleOverlap
+	b, err := NewParallelTrainer(ds, topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aCopy, err := NewParallelTrainer(ds, topo, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < 3; e++ {
+		sa, sb := aCopy.TrainEpoch(), b.TrainEpoch()
+		if sa.Loss != sb.Loss {
+			t.Fatalf("epoch %d: loss diverged %.17g vs %.17g", e, sa.Loss, sb.Loss)
 		}
-		aCopy, err := NewParallelTrainer(ds, topo, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for e := 0; e < 3; e++ {
-			sa, sb := aCopy.TrainEpoch(), b.TrainEpoch()
-			if sa.Loss != sb.Loss {
-				t.Fatalf("%s epoch %d: loss diverged %.17g vs %.17g", sched, e, sa.Loss, sb.Loss)
-			}
-		}
-		for r := 0; r < k; r++ {
-			if d := MaxParamDiff(aCopy.Models[r], b.Models[r]); d != 0 {
-				t.Fatalf("%s rank %d diverged by %v", sched, r, d)
-			}
+	}
+	for r := 0; r < k; r++ {
+		if d := MaxParamDiff(aCopy.Models[r], b.Models[r]); d != 0 {
+			t.Fatalf("rank %d diverged by %v", r, d)
 		}
 	}
 }

@@ -232,7 +232,7 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 // active neighbor owned by rank j, and rowWait[v] counts row v's distinct
 // awaited peers — the countdown that unlocks a row the moment its last
 // peer's payload lands. Bucketing needs the full neighbor scan, so the
-// rank-order schedules skip it and keep the early-out row scan.
+// serialized schedule skips it and keeps the early-out row scan.
 //
 // With restrict set (a row-dropping strategy under SAGE), inner rows with
 // lp.active[v] false are excluded from both compute lists and collected in
@@ -394,8 +394,8 @@ const (
 	EstimatorHT
 )
 
-// Schedule selects the epoch engine's stage schedule (see pipeline.go). All
-// three schedules are bit-identical — same weights, losses, and per-rank
+// Schedule selects the epoch engine's stage schedule (see pipeline.go). The
+// two schedules are bit-identical — same weights, losses, and per-rank
 // payload bytes over every backend; the overlap equivalence tests pin this —
 // they differ only in where the waits sit and in what order peer payloads
 // are consumed, never in the arithmetic.
@@ -409,28 +409,20 @@ const (
 	// (whichever peer that is), so one slow peer no longer stalls rows whose
 	// data already arrived.
 	ScheduleOverlap Schedule = iota
-	// ScheduleOverlapRank is the pipelined schedule draining peers in
-	// ascending rank order — the straggler-sensitive baseline the
-	// arrival-order drain is measured against.
-	ScheduleOverlapRank
 	// ScheduleSerialized is the historical baseline: every wait up front,
-	// then all compute.
+	// then all compute. It is the reference the overlap equivalence tests
+	// compare ScheduleOverlap against.
 	ScheduleSerialized
 )
 
 // overlapped reports whether the schedule pipelines comm with compute.
 func (s Schedule) overlapped() bool { return s != ScheduleSerialized }
 
-// arrival reports whether the schedule drains peers in arrival order.
-func (s Schedule) arrival() bool { return s == ScheduleOverlap }
-
 // String names the schedule for logs and experiment tables.
 func (s Schedule) String() string {
 	switch s {
 	case ScheduleOverlap:
 		return "overlap/arrival"
-	case ScheduleOverlapRank:
-		return "overlap/rank"
 	case ScheduleSerialized:
 		return "serialized"
 	}
@@ -470,10 +462,9 @@ type EpochStats struct {
 	ComputeTime time.Duration
 	// CommTime is the raw halo-exchange span: payload gather/serialize plus
 	// the full post-to-consumed window of every exchange. Under the
-	// pipelined schedules (ParallelConfig.Schedule = ScheduleOverlap or
-	// ScheduleOverlapRank) that window runs concurrently with ComputeTime,
-	// so the two overlap and must not be summed — use ExposedCommTime for
-	// critical-path accounting.
+	// pipelined schedule (ParallelConfig.Schedule = ScheduleOverlap) that
+	// window runs concurrently with ComputeTime, so the two overlap and must
+	// not be summed — use ExposedCommTime for critical-path accounting.
 	CommTime time.Duration
 	// ExposedCommTime is the unoverlapped portion of comm: gather/serialize
 	// work plus the time actually spent blocked waiting for boundary data
@@ -519,9 +510,8 @@ type RankTrainer struct {
 
 	globalTrainCount int
 	epoch            int
-	evalModel        *Model
-	evalTrainer      *FullTrainer
-	flatGrad         []float32 // reusable gradient AllReduce buffer
+	evalTrainer      *FullTrainer // full-graph evaluator over a weight copy
+	flatGrad         []float32    // reusable gradient AllReduce buffer
 	// arrCh is the completion queue of the arrival-order drain: every
 	// notify-posted halo receive delivers its peer's rank here when the
 	// payload becomes consumable. Capacity K covers the at most K−1
@@ -636,11 +626,9 @@ func (rt *RankTrainer) Evaluate(mask []bool) float64 {
 		if err != nil {
 			panic(err)
 		}
-		model.SetAgg(graph.NewAggIndex(rt.DS.G))
-		rt.evalModel = model
-		rt.evalTrainer = &FullTrainer{DS: rt.DS, Model: model, invDeg: nn.InvDegrees(rt.DS.G)}
+		rt.evalTrainer = NewFullTrainerFor(rt.DS, model)
 	}
-	rt.evalModel.CopyWeightsFrom(rt.Model)
+	rt.evalTrainer.Model.CopyWeightsFrom(rt.Model)
 	return rt.evalTrainer.Evaluate(mask)
 }
 

@@ -16,17 +16,16 @@ import (
 // Every layer pass runs in compute chunks over a per-epoch row partition
 // (LocalPartition.splitRows): the halo-free rows, whose aggregation reads no
 // sampled boundary slot, and the halo-dependent remainder. The row buckets
-// drive the sparse SpMM engine (tensor.SpMMRows and friends, over the
+// drive the sparse SpMM engine (tensor.SpMMMatMulRows and friends, over the
 // aggregation plan LocalPartition rebuilds with each epoch graph): the
 // chunked row passes, the one-shot passes, and the engine's edge-blocked
 // kernels are all bit-identical per row, so the schedule equivalences below
 // hold unchanged on top of it. Halo sends and
 // receives are posted asynchronously (comm.Worker.ISendF32/IRecvF32) before
-// any chunk runs. The three schedules differ only in where the waits sit and
+// any chunk runs. The two schedules differ only in where the waits sit and
 // in what order peer payloads are consumed:
 //
 //	ScheduleSerialized:   post → wait+consume (rank order) → chunk1 → chunk2
-//	ScheduleOverlapRank:  post → chunk1 → wait+consume (rank order) → chunk2
 //	ScheduleOverlap:      post → chunk1 → consume peers in ARRIVAL order,
 //	                      computing each peer's dependent rows as its
 //	                      payload lands (drainForwardArrival)
@@ -42,7 +41,7 @@ import (
 //   - the forward scatter writes each peer's rows into disjoint halo slots;
 //   - dropout masks for the whole halo range are drawn up front in ascending
 //     element order (nn.Dropout.MaskRows — the RNG stream order of the
-//     rank-order schedules) and only *applied* per peer on arrival;
+//     serialized schedule) and only *applied* per peer on arrival;
 //   - a halo-dependent row is computed exactly once, when its last awaited
 //     peer lands (splitRows' per-peer buckets + rowWait countdown), and the
 //     chunked row passes are bit-identical per row in any order;
@@ -50,7 +49,7 @@ import (
 //     order-sensitive, are only staged per peer on arrival and folded in
 //     canonical ascending rank order once all are in.
 //
-// All schedules therefore issue the same messages and the same per-row
+// Both schedules therefore issue the same messages and the same per-row
 // arithmetic with the same RNG consumption order, and are bit-identical by
 // construction: weights, losses, and per-rank payload bytes match exactly on
 // every backend (the overlap equivalence tests pin this, including a skewed
@@ -71,7 +70,7 @@ import (
 // which under overlap runs concurrently with Compute and measures what the
 // exchange would cost if nothing hid it. The arrival-order drain attributes
 // the row compute it interleaves between waits to Compute, not CommExposed,
-// so the exposed figure stays comparable across schedules.
+// so the exposed figure stays comparable with the serialized schedule.
 
 // runEpoch executes one epoch of strategy-sampled partition-parallel
 // training for this rank over the worker's transport.
@@ -82,7 +81,6 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 	model := rt.Model
 	k := rt.Topo.K
 	overlap := rt.Cfg.Schedule.overlapped()
-	arrival := rt.Cfg.Schedule.arrival()
 
 	// --- Sampling phase (lines 4–7): the strategy decides the epoch ---
 	start := time.Now()
@@ -185,7 +183,7 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 		}
 	}
 	if !plan.DropsInner {
-		lp.splitRows(eg, arrival, false)
+		lp.splitRows(eg, overlap, false)
 	}
 	recvSlots := lp.recvSlots // halo local ids I fill from j
 	for j := 0; j < k; j++ {
@@ -236,7 +234,7 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 				lp.active[row] = true
 			}
 		}
-		lp.splitRows(eg, arrival, rt.Cfg.Model.Arch == ArchSAGE)
+		lp.splitRows(eg, overlap, rt.Cfg.Model.Arch == ArchSAGE)
 	}
 	ws.Sample = time.Since(start)
 	// exchanging: does this epoch move any halo traffic at all? (False for
@@ -288,7 +286,7 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 			if j == rank || len(recvSlots[j]) == 0 {
 				continue
 			}
-			if arrival {
+			if overlap {
 				lp.pendRecv[j] = w.IRecvF32Notify(j, tagForward+l, rt.arrCh, j)
 			} else {
 				lp.pendRecv[j] = w.IRecvF32(j, tagForward+l)
@@ -300,12 +298,11 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 		ws.Comm += post
 		flightStart := time.Now()
 
-		switch {
-		case arrival:
+		if overlap {
 			// Chunk 1 — halo-free rows — while boundary rows are in flight.
 			// The halo range's dropout masks are drawn here (ascending, the
-			// exact RNG stream position of the other schedules' chunk 2) so
-			// the drain can apply them per peer in any arrival order.
+			// exact RNG stream position of the serialized schedule's chunk
+			// 2) so the drain can apply them per peer in any arrival order.
 			ps := time.Now()
 			xd := drop.ForwardBegin(x, true)
 			drop.ForwardRows(0, lp.NIn)
@@ -318,41 +315,13 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 			lastConsume := rt.drainForwardArrival(w, x, l, dim, invP, haloScale, drop, layer, nPend, &ws)
 			if exchanging {
 				// Raw comm span ends at the last consumption, not after the
-				// trailing row compute the drain interleaves — keeping
-				// comm(raw) comparable with the rank-order schedule.
+				// trailing row compute the drain interleaves.
 				if lastConsume.IsZero() {
 					lastConsume = flightStart
 				}
 				ws.Comm += lastConsume.Sub(flightStart)
 			}
-		case overlap:
-			// Rank-order drain: chunk 1 overlaps the flight, then all peers
-			// complete in ascending rank order before chunk 2.
-			ps := time.Now()
-			xd := drop.ForwardBegin(x, true)
-			drop.ForwardRows(0, lp.NIn)
-			hInner = layer.ForwardBegin(eg, xd, lp.NIn, invDeg)
-			layer.ForwardPrep(0, lp.NIn)
-			layer.ForwardRows(lp.haloFree)
-			ws.Compute += time.Since(ps)
-
-			ds := time.Now()
-			rt.drainForward(w, x, l, dim, invP, haloScale)
-			wd := time.Since(ds)
-			ws.CommExposed += wd
-			if exchanging {
-				ws.Comm += time.Since(flightStart)
-			} else {
-				ws.Comm += wd
-			}
-
-			// Chunk 2 — halo-dependent rows — on arrival.
-			ps = time.Now()
-			drop.ForwardRows(lp.NIn, nLocal)
-			layer.ForwardPrep(lp.NIn, nLocal)
-			layer.ForwardRows(lp.haloDep)
-			ws.Compute += time.Since(ps)
-		default:
+		} else {
 			// Serialized baseline: identical calls, waits moved up front.
 			ds := time.Now()
 			rt.drainForward(w, x, l, dim, invP, haloScale)
@@ -430,7 +399,7 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 			if j == rank || len(sendRows[j]) == 0 {
 				continue
 			}
-			if arrival {
+			if overlap {
 				lp.pendRecv[j] = w.IRecvF32Notify(j, tagBackward+l, rt.arrCh, j)
 			} else {
 				lp.pendRecv[j] = w.IRecvF32(j, tagBackward+l)
@@ -471,7 +440,7 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 		// as it lands (the receive, and under a modeled link its latency,
 		// completes in arrival order) and folds once all are in.
 		as := time.Now()
-		if arrival {
+		if overlap {
 			for i := 0; i < nPend; i++ {
 				j := <-rt.arrCh
 				lp.recvData[j] = lp.pendRecv[j].Wait()
@@ -527,9 +496,9 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 }
 
 // drainForward waits for this layer's boundary feature rows in ascending
-// peer order, writes them into the halo slots of x with the strategy's
-// receive rescale (the unbiased 1/p of Section 3.2 for BNS), and recycles
-// the payload buffers. Callers time the whole call and attribute it to the
+// peer order (the serialized schedule), writes them into the halo slots of x
+// with the strategy's receive rescale (the unbiased 1/p of Section 3.2 for
+// BNS), and recycles the payload buffers. Callers time the whole call and attribute it to the
 // comm counters themselves.
 func (rt *RankTrainer) drainForward(w *comm.Worker, x *tensor.Matrix, l, dim int, invP float32, haloScale []float32) {
 	for j := 0; j < rt.Topo.K; j++ {
@@ -544,8 +513,8 @@ func (rt *RankTrainer) drainForward(w *comm.Worker, x *tensor.Matrix, l, dim int
 // scatters them into j's halo slots of x with the strategy's receive rescale
 // (uniform invP, or the plan's per-slot importance weights), and recycles
 // the payload buffer. The slots of different peers are disjoint, so both
-// drains — rank order and arrival order — go through this one path and
-// cannot diverge.
+// drains — serialized rank order and arrival order — go through this one
+// path and cannot diverge.
 func (rt *RankTrainer) consumeForward(w *comm.Worker, x *tensor.Matrix, j, l, dim int, invP float32, haloScale []float32) {
 	lp := rt.LP
 	data := lp.pendRecv[j].Wait()
@@ -576,12 +545,12 @@ func (rt *RankTrainer) consumeForward(w *comm.Worker, x *tensor.Matrix, j, l, di
 // just landed is computed immediately (splitRows' rowWait countdown). Rows
 // unlocked by one peer are ascending (peerRows is built by an ascending row
 // scan) and each row runs exactly once, with per-row arithmetic identical to
-// the rank-order chunk 2 — so the result is bit-identical while a slow peer
+// the serialized chunk 2 — so the result is bit-identical while a slow peer
 // stalls only the rows that genuinely need it.
 //
 // Blocked waits and halo fills are attributed to CommExposed, the unlocked
 // row compute to Compute, keeping the exposed-comm figure comparable with
-// the other schedules; the returned time of the last consumption lets the
+// the serialized schedule; the returned time of the last consumption lets the
 // caller end the raw comm span there (zero when nothing was pending).
 func (rt *RankTrainer) drainForwardArrival(w *comm.Worker, x *tensor.Matrix, l, dim int, invP float32,
 	haloScale []float32, drop *nn.Dropout, layer GraphLayer, nPend int, ws *RankStats) (lastConsume time.Time) {

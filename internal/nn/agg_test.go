@@ -8,11 +8,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// The sparse-engine contract: installing an aggregation plan (SetAgg) must
-// never change a single output bit — it only changes how the edge walks are
-// blocked and parallelized. These tests drive every pass shape (one-shot,
-// chunked forward, staged backward) with and without the plan and compare
-// bitwise, on the same partition-shaped graphs as the chunked-pass tests.
+// The sparse-engine contract: the fused, plan-driven layer passes must
+// reproduce the textbook formulation bit for bit — the engine only changes
+// how the edge walks are blocked and parallelized. These tests drive every
+// pass shape (one-shot, chunked forward, staged backward) on the engine and
+// compare bitwise against the references in reference_test.go, on the same
+// partition-shaped graphs as the chunked-pass tests.
 
 // aggCase reuses the chunkedCases shapes plus denser/high-degree ones where
 // the four-edge blocking always has full blocks and tails.
@@ -24,9 +25,10 @@ var aggCases = []chunkedCase{
 	{"wide", 31, 11, 6, 23, 13, 0.3},
 }
 
-// TestSAGEAggEngineMatchesFallback: one-shot and staged passes with the
-// SpMM engine installed must reproduce the scalar fallback bit for bit.
-func TestSAGEAggEngineMatchesFallback(t *testing.T) {
+// TestSAGEAggEngineMatchesConcatReference: one-shot, chunked and staged
+// passes on the SpMM engine must reproduce the explicit-concat reference bit
+// for bit.
+func TestSAGEAggEngineMatchesConcatReference(t *testing.T) {
 	for _, tc := range aggCases {
 		rng := tensor.NewRNG(301)
 		g := localGraph(rng, tc.nIn, tc.nBd, tc.deg, tc.haloP)
@@ -40,9 +42,9 @@ func TestSAGEAggEngineMatchesFallback(t *testing.T) {
 		}
 		dOut := randMat(rng, tc.nIn, tc.outDim)
 
-		ref := NewSAGEConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(5))
 		eng := NewSAGEConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(5))
 		eng.SetAgg(graph.NewAggIndex(g))
+		ref := newSAGERef(eng)
 
 		wantOut := ref.Forward(g, h, tc.nIn, invDeg)
 		wantDH := ref.Backward(dOut)
@@ -54,8 +56,7 @@ func TestSAGEAggEngineMatchesFallback(t *testing.T) {
 		sameBits(t, tc.name+"/DB", eng.DB.Data, ref.DB.Data)
 
 		// Staged passes with the engine: chunked forward over the halo
-		// split, staged backward — still bit-identical to the fallback
-		// one-shot.
+		// split, staged backward — still bit-identical to the reference.
 		chk := NewSAGEConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(5))
 		chk.SetAgg(graph.NewAggIndex(g))
 		got := chk.ForwardBegin(g, h, tc.nIn, invDeg)
@@ -77,9 +78,9 @@ func TestSAGEAggEngineMatchesFallback(t *testing.T) {
 	}
 }
 
-// TestGATAggEngineMatchesFallback: the chunk-parallel attention sweep must
-// reproduce the serial sweep bit for bit.
-func TestGATAggEngineMatchesFallback(t *testing.T) {
+// TestGATAggEngineMatchesSerialReference: the chunk-parallel attention
+// sweep must reproduce the serial sweep bit for bit.
+func TestGATAggEngineMatchesSerialReference(t *testing.T) {
 	for _, tc := range aggCases {
 		rng := tensor.NewRNG(302)
 		g := localGraph(rng, tc.nIn, tc.nBd, tc.deg, tc.haloP)
@@ -87,10 +88,11 @@ func TestGATAggEngineMatchesFallback(t *testing.T) {
 		dOut := randMat(rng, tc.nIn, tc.outDim)
 
 		ref := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
+		ref.SetAgg(graph.NewAggIndex(g))
 		eng := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
 		eng.SetAgg(graph.NewAggIndex(g))
 
-		wantOut := ref.Forward(g, h, tc.nIn)
+		wantOut := gatSerialForward(ref, g, h, tc.nIn)
 		wantDH := ref.Backward(dOut)
 		gotOut := eng.Forward(g, h, tc.nIn)
 		gotDH := eng.Backward(dOut)
@@ -133,8 +135,7 @@ func isolatedGraph(rng *tensor.RNG, nIn, nBd, deg int, isolated map[int]bool) *g
 // TestSAGEZeroDegreeNodesFullPass drives zero-degree and isolated nodes
 // through the full forward+backward: the aggregate half must be exactly
 // zero, the output reduce to σ(W·[0|h_v]+b), parameter gradients must pass
-// a finite-difference check, and nothing may go NaN — with and without the
-// aggregation plan, bitwise equal.
+// a finite-difference check, and nothing may go NaN.
 func TestSAGEZeroDegreeNodesFullPass(t *testing.T) {
 	const nIn, nBd, deg, inDim, outDim = 11, 4, 3, 5, 3
 	iso := map[int]bool{2: true, 7: true}
@@ -158,80 +159,76 @@ func TestSAGEZeroDegreeNodesFullPass(t *testing.T) {
 		mask[v] = true
 	}
 
-	for _, withAgg := range []bool{false, true} {
-		l := NewSAGEConv(inDim, outDim, ReLUAct, tensor.NewRNG(9))
-		if withAgg {
-			l.SetAgg(graph.NewAggIndex(g))
-		}
-		out := l.Forward(g, h, nIn, invDeg)
-		// Isolated node: aggregate half is zero, so out = σ(W₂·h_v + b)
-		// where W₂ is the lower half of W.
-		for _, v := range []int{2, 7} {
-			for j := 0; j < outDim; j++ {
-				var s float32
-				for c := 0; c < inDim; c++ {
-					s += h.At(v, c) * l.W.At(inDim+c, j)
-				}
-				s += l.B.At(0, j)
-				if s < 0 {
-					s = 0
-				}
-				if math.Abs(float64(out.At(v, j)-s)) > 1e-5 {
-					t.Fatalf("agg=%v isolated node %d col %d: out %v, want self-only %v", withAgg, v, j, out.At(v, j), s)
-				}
+	l := NewSAGEConv(inDim, outDim, ReLUAct, tensor.NewRNG(9))
+	l.SetAgg(graph.NewAggIndex(g))
+	out := l.Forward(g, h, nIn, invDeg)
+	// Isolated node: aggregate half is zero, so out = σ(W₂·h_v + b)
+	// where W₂ is the lower half of W.
+	for _, v := range []int{2, 7} {
+		for j := 0; j < outDim; j++ {
+			var s float32
+			for c := 0; c < inDim; c++ {
+				s += h.At(v, c) * l.W.At(inDim+c, j)
+			}
+			s += l.B.At(0, j)
+			if s < 0 {
+				s = 0
+			}
+			if math.Abs(float64(out.At(v, j)-s)) > 1e-5 {
+				t.Fatalf("isolated node %d col %d: out %v, want self-only %v", v, j, out.At(v, j), s)
 			}
 		}
-		for _, x := range out.Data {
-			if math.IsNaN(float64(x)) {
-				t.Fatalf("agg=%v: NaN in forward output", withAgg)
-			}
+	}
+	for _, x := range out.Data {
+		if math.IsNaN(float64(x)) {
+			t.Fatalf("NaN in forward output")
 		}
+	}
 
-		// Finite-difference gradient check of W and the input through the
-		// full masked loss, isolated nodes included in the mask.
-		loss := func() float64 {
-			o := l.Forward(g, h, nIn, invDeg)
-			ls, _ := SoftmaxCrossEntropy(o, labels, mask)
-			return ls
+	// Finite-difference gradient check of W and the input through the
+	// full masked loss, isolated nodes included in the mask.
+	loss := func() float64 {
+		o := l.Forward(g, h, nIn, invDeg)
+		ls, _ := SoftmaxCrossEntropy(o, labels, mask)
+		return ls
+	}
+	l.ZeroGrad()
+	out = l.Forward(g, h, nIn, invDeg)
+	ls, dOut := SoftmaxCrossEntropy(out, labels, mask)
+	_ = ls
+	dH := l.Backward(dOut)
+	const eps = 1e-3
+	checkFD := func(name string, param []float32, grad []float32, idx int) {
+		t.Helper()
+		old := param[idx]
+		param[idx] = old + eps
+		up := loss()
+		param[idx] = old - eps
+		down := loss()
+		param[idx] = old
+		fd := (up - down) / (2 * eps)
+		if diff := math.Abs(fd - float64(grad[idx])); diff > 2e-3*(1+math.Abs(fd)) {
+			t.Fatalf("%s[%d]: analytic %v vs fd %v", name, idx, grad[idx], fd)
 		}
-		l.ZeroGrad()
-		out = l.Forward(g, h, nIn, invDeg)
-		ls, dOut := SoftmaxCrossEntropy(out, labels, mask)
-		_ = ls
-		dH := l.Backward(dOut)
-		const eps = 1e-3
-		checkFD := func(name string, param []float32, grad []float32, idx int) {
-			t.Helper()
-			old := param[idx]
-			param[idx] = old + eps
-			up := loss()
-			param[idx] = old - eps
-			down := loss()
-			param[idx] = old
-			fd := (up - down) / (2 * eps)
-			if diff := math.Abs(fd - float64(grad[idx])); diff > 2e-3*(1+math.Abs(fd)) {
-				t.Fatalf("agg=%v %s[%d]: analytic %v vs fd %v", withAgg, name, idx, grad[idx], fd)
-			}
-		}
-		// Probe the self-half rows of W feeding the isolated nodes, a few
-		// aggregate-half entries, the bias, and the isolated nodes' input
-		// rows (whose gradient flows only through the self term).
-		for _, idx := range []int{0, inDim*outDim + 1, (2*inDim - 1) * outDim} {
-			checkFD("W", l.W.Data, l.DW.Data, idx)
-		}
-		checkFD("B", l.B.Data, l.DB.Data, 1)
-		checkFD("h", h.Data, dH.Data, 2*inDim+1) // input row of isolated node 2
-		for _, x := range dH.Data {
-			if math.IsNaN(float64(x)) {
-				t.Fatalf("agg=%v: NaN in input gradient", withAgg)
-			}
+	}
+	// Probe the self-half rows of W feeding the isolated nodes, a few
+	// aggregate-half entries, the bias, and the isolated nodes' input
+	// rows (whose gradient flows only through the self term).
+	for _, idx := range []int{0, inDim*outDim + 1, (2*inDim - 1) * outDim} {
+		checkFD("W", l.W.Data, l.DW.Data, idx)
+	}
+	checkFD("B", l.B.Data, l.DB.Data, 1)
+	checkFD("h", h.Data, dH.Data, 2*inDim+1) // input row of isolated node 2
+	for _, x := range dH.Data {
+		if math.IsNaN(float64(x)) {
+			t.Fatalf("NaN in input gradient")
 		}
 	}
 }
 
 // TestGATZeroDegreeNodesFullPass: isolated nodes attend only to themselves
 // (α = 1), so out = σ(W·h_v), and the full forward+backward stays finite
-// and passes a finite-difference probe — with and without the plan.
+// and passes a finite-difference probe.
 func TestGATZeroDegreeNodesFullPass(t *testing.T) {
 	const nIn, nBd, deg, inDim, outDim = 9, 3, 3, 4, 3
 	iso := map[int]bool{0: true, 5: true}
@@ -245,63 +242,59 @@ func TestGATZeroDegreeNodesFullPass(t *testing.T) {
 		mask[v] = true
 	}
 
-	for _, withAgg := range []bool{false, true} {
-		l := NewGATConv(inDim, outDim, ReLUAct, tensor.NewRNG(11))
-		if withAgg {
-			l.SetAgg(graph.NewAggIndex(g))
-		}
-		out := l.Forward(g, h, nIn)
-		for _, v := range []int{0, 5} {
-			for j := 0; j < outDim; j++ {
-				var s float32
-				for c := 0; c < inDim; c++ {
-					s += h.At(v, c) * l.W.At(c, j)
-				}
-				if s < 0 {
-					s = 0
-				}
-				if math.Abs(float64(out.At(v, j)-s)) > 1e-5 {
-					t.Fatalf("agg=%v isolated node %d col %d: out %v, want self-attention %v", withAgg, v, j, out.At(v, j), s)
-				}
+	l := NewGATConv(inDim, outDim, ReLUAct, tensor.NewRNG(11))
+	l.SetAgg(graph.NewAggIndex(g))
+	out := l.Forward(g, h, nIn)
+	for _, v := range []int{0, 5} {
+		for j := 0; j < outDim; j++ {
+			var s float32
+			for c := 0; c < inDim; c++ {
+				s += h.At(v, c) * l.W.At(c, j)
+			}
+			if s < 0 {
+				s = 0
+			}
+			if math.Abs(float64(out.At(v, j)-s)) > 1e-5 {
+				t.Fatalf("isolated node %d col %d: out %v, want self-attention %v", v, j, out.At(v, j), s)
 			}
 		}
+	}
 
-		loss := func() float64 {
-			o := l.Forward(g, h, nIn)
-			ls, _ := SoftmaxCrossEntropy(o, labels, mask)
-			return ls
+	loss := func() float64 {
+		o := l.Forward(g, h, nIn)
+		ls, _ := SoftmaxCrossEntropy(o, labels, mask)
+		return ls
+	}
+	l.ZeroGrad()
+	out = l.Forward(g, h, nIn)
+	_, dOut := SoftmaxCrossEntropy(out, labels, mask)
+	dH := l.Backward(dOut)
+	const eps = 1e-3
+	for _, probe := range []struct {
+		name  string
+		param []float32
+		grad  []float32
+		idx   int
+	}{
+		{"W", l.W.Data, l.DW.Data, 1},
+		{"A1", l.A1.Data, l.DA1.Data, 0},
+		{"A2", l.A2.Data, l.DA2.Data, 2},
+		{"h", h.Data, dH.Data, 0}, // input row of isolated node 0
+	} {
+		old := probe.param[probe.idx]
+		probe.param[probe.idx] = old + eps
+		up := loss()
+		probe.param[probe.idx] = old - eps
+		down := loss()
+		probe.param[probe.idx] = old
+		fd := (up - down) / (2 * eps)
+		if diff := math.Abs(fd - float64(probe.grad[probe.idx])); diff > 2e-3*(1+math.Abs(fd)) {
+			t.Fatalf("%s[%d]: analytic %v vs fd %v", probe.name, probe.idx, probe.grad[probe.idx], fd)
 		}
-		l.ZeroGrad()
-		out = l.Forward(g, h, nIn)
-		_, dOut := SoftmaxCrossEntropy(out, labels, mask)
-		dH := l.Backward(dOut)
-		const eps = 1e-3
-		for _, probe := range []struct {
-			name  string
-			param []float32
-			grad  []float32
-			idx   int
-		}{
-			{"W", l.W.Data, l.DW.Data, 1},
-			{"A1", l.A1.Data, l.DA1.Data, 0},
-			{"A2", l.A2.Data, l.DA2.Data, 2},
-			{"h", h.Data, dH.Data, 0}, // input row of isolated node 0
-		} {
-			old := probe.param[probe.idx]
-			probe.param[probe.idx] = old + eps
-			up := loss()
-			probe.param[probe.idx] = old - eps
-			down := loss()
-			probe.param[probe.idx] = old
-			fd := (up - down) / (2 * eps)
-			if diff := math.Abs(fd - float64(probe.grad[probe.idx])); diff > 2e-3*(1+math.Abs(fd)) {
-				t.Fatalf("agg=%v %s[%d]: analytic %v vs fd %v", withAgg, probe.name, probe.idx, probe.grad[probe.idx], fd)
-			}
-		}
-		for _, x := range dH.Data {
-			if math.IsNaN(float64(x)) {
-				t.Fatalf("agg=%v: NaN in input gradient", withAgg)
-			}
+	}
+	for _, x := range dH.Data {
+		if math.IsNaN(float64(x)) {
+			t.Fatalf("NaN in input gradient")
 		}
 	}
 }

@@ -133,6 +133,8 @@ func TestSAGEChunkedMatchesOneShot(t *testing.T) {
 
 		ref := NewSAGEConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(5))
 		chk := NewSAGEConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(5))
+		ref.SetAgg(graph.NewAggIndex(g))
+		chk.SetAgg(graph.NewAggIndex(g))
 
 		wantOut := ref.Forward(g, h, tc.nIn, invDeg)
 		wantDH := ref.Backward(dOut)
@@ -173,6 +175,8 @@ func TestGATChunkedMatchesOneShot(t *testing.T) {
 
 		ref := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
 		chk := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
+		ref.SetAgg(graph.NewAggIndex(g))
+		chk.SetAgg(graph.NewAggIndex(g))
 
 		wantOut := ref.Forward(g, h, tc.nIn)
 		wantDH := ref.Backward(dOut)
@@ -281,6 +285,8 @@ func TestGATForwardPrepRowsMatchesRange(t *testing.T) {
 
 		ref := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(5))
 		chk := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(5))
+		ref.SetAgg(graph.NewAggIndex(g))
+		chk.SetAgg(graph.NewAggIndex(g))
 
 		want := ref.ForwardBegin(g, h, tc.nIn)
 		ref.ForwardPrep(0, g.N)

@@ -17,6 +17,8 @@ import (
 //	z_v  = σ( Σ_u α_vu (W h_u) )
 //
 // Self-attention is always included so isolated nodes still produce output.
+// Every pass needs the aggregation plan of the graph it runs over (SetAgg);
+// a pass with no plan installed panics.
 type GATConv struct {
 	InDim, OutDim int
 	Act           Activation
@@ -29,11 +31,11 @@ type GATConv struct {
 	DA1 *tensor.Matrix
 	DA2 *tensor.Matrix
 
-	// agg, when set, provides the edge-balanced chunk index the one-shot
-	// Forward parallelizes its per-node attention sweep over (output rows
-	// are fully independent, so chunk scheduling cannot change bits). The
-	// backward keeps its node-serial sweep: its dWh/da1/da2 accumulations
-	// are order-sensitive across nodes.
+	// agg provides the edge-balanced chunk index the one-shot Forward
+	// parallelizes its per-node attention sweep over (output rows are fully
+	// independent, so chunk scheduling cannot change bits). The backward
+	// keeps its node-serial sweep: its dWh/da1/da2 accumulations are
+	// order-sensitive across nodes.
 	agg *graph.AggIndex
 
 	// Caches.
@@ -84,33 +86,27 @@ func (l *GATConv) Grads() []*tensor.Matrix { return []*tensor.Matrix{l.DW, l.DA1
 func (l *GATConv) ZeroGrad() { zeroGradAll(l.Grads()) }
 
 // SetAgg installs the aggregation plan for subsequent passes (GAT uses only
-// its chunk index; nil reverts to the serial sweep with identical bits).
+// its chunk index). ai must be built from the same graph the passes receive.
 func (l *GATConv) SetAgg(ai *graph.AggIndex) { l.agg = ai }
 
-// Forward computes attention outputs for the first nOut rows of h. With an
-// aggregation plan the per-node sweep runs chunk-parallel: forwardNode
+// Forward computes attention outputs for the first nOut rows of h. The
+// per-node sweep runs chunk-parallel over the plan's chunks: forwardNode
 // writes only node-owned state (the node's flat alpha/raw segment and its
 // pre/out rows) and reads only the shared prep arrays, so any chunk
 // schedule produces the serial sweep's bits.
 func (l *GATConv) Forward(g *graph.Graph, h *tensor.Matrix, nOut int) *tensor.Matrix {
 	out := l.ForwardBegin(g, h, nOut)
 	l.ForwardPrep(0, h.Rows)
-	if l.agg != nil && len(l.agg.Chunks) > 2 && tensor.Parallelism() > 1 {
-		chunks := l.agg.Chunks
-		tensor.ParallelChunks(len(chunks)-1, func(c int) {
-			lo, hi := int(chunks[c]), int(chunks[c+1])
-			if hi > nOut {
-				hi = nOut
-			}
-			for v := lo; v < hi; v++ {
-				l.forwardNode(v)
-			}
-		})
-		return out
-	}
-	for v := 0; v < nOut; v++ {
-		l.forwardNode(v)
-	}
+	chunks := l.agg.Chunks
+	tensor.ParallelChunks(len(chunks)-1, func(c int) {
+		lo, hi := int(chunks[c]), int(chunks[c+1])
+		if hi > nOut {
+			hi = nOut
+		}
+		for v := lo; v < hi; v++ {
+			l.forwardNode(v)
+		}
+	})
 	return out
 }
 
@@ -128,6 +124,7 @@ func (l *GATConv) ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int) *tens
 	if g.N != h.Rows || nOut > h.Rows {
 		panic(fmt.Sprintf("nn: GATConv graph %d nodes, features %d rows, nOut %d", g.N, h.Rows, nOut))
 	}
+	requireAgg("GATConv", l.agg)
 	l.g, l.nOut, l.nAll, l.h = g, nOut, h.Rows, h
 	ensureMat(&l.wh, h.Rows, l.OutDim)
 	ensureF32(&l.s1, h.Rows)

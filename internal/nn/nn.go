@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/graph"
 	"repro/internal/tensor"
 )
 
@@ -68,6 +69,14 @@ func ensureMat(buf **tensor.Matrix, rows, cols int) *tensor.Matrix {
 	}
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
 	return m
+}
+
+// requireAgg panics with a pointed message when a layer pass starts with no
+// aggregation plan installed, instead of dereferencing a nil plan mid-pass.
+func requireAgg(layer string, ai *graph.AggIndex) {
+	if ai == nil {
+		panic(fmt.Sprintf("nn: %s pass with no aggregation plan; install one with SetAgg(graph.NewAggIndex(g))", layer))
+	}
 }
 
 // ensureF32 returns a length-n float32 slice stored at *buf with undefined

@@ -186,12 +186,13 @@ func sageLoss(l *SAGEConv, g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []
 
 func TestSAGEConvGradientCheck(t *testing.T) {
 	rng := tensor.NewRNG(5)
-	g := randGraph(rng, 8, 16)
+	nOut := 6 // rows 6,7 act as halo rows
+	g := dropHaloAdjacency(randGraph(rng, 8, 16), nOut)
 	h := tensor.New(8, 3)
 	tensor.GaussianInit(h, 1, rng)
 	l := NewSAGEConv(3, 4, ReLUAct, rng)
+	l.SetAgg(graph.NewAggIndex(g))
 	invDeg := InvDegrees(g)
-	nOut := 6 // rows 6,7 act as halo rows
 	labels := []int32{0, 1, 2, 3, 0, 1}
 	mask := []bool{true, true, true, false, true, true}
 
@@ -226,10 +227,11 @@ func TestSAGEConvHaloRowsGetGradient(t *testing.T) {
 	b := graph.NewBuilder(3)
 	b.AddEdge(0, 2)
 	b.AddEdge(0, 1)
-	g := b.Build()
+	g := dropHaloAdjacency(b.Build(), 2)
 	h := tensor.New(3, 2)
 	tensor.GaussianInit(h, 1, rng)
 	l := NewSAGEConv(2, 2, NoAct, rng)
+	l.SetAgg(graph.NewAggIndex(g))
 	out := l.Forward(g, h, 2, InvDegrees(g))
 	if out.Rows != 2 {
 		t.Fatalf("out rows %d", out.Rows)
@@ -261,6 +263,7 @@ func TestSAGEConvMeanAggregation(t *testing.T) {
 		h.Set(v, 1, 1)
 	}
 	l := NewSAGEConv(2, 2, NoAct, rng)
+	l.SetAgg(graph.NewAggIndex(g))
 	l.W.Zero()
 	l.B.Zero()
 	l.W.Set(0, 0, 1) // z[0] -> out[0]
@@ -282,6 +285,7 @@ func TestSAGEConvIsolatedNodeZeroAggregate(t *testing.T) {
 	h := tensor.New(2, 2)
 	h.Fill(3)
 	l := NewSAGEConv(2, 2, NoAct, rng)
+	l.SetAgg(graph.NewAggIndex(g))
 	l.W.Zero()
 	l.W.Set(0, 0, 1)
 	out := l.Forward(g, h, 2, InvDegrees(g))
@@ -302,6 +306,7 @@ func TestGATConvGradientCheck(t *testing.T) {
 	h := tensor.New(7, 3)
 	tensor.GaussianInit(h, 1, rng)
 	l := NewGATConv(3, 4, ReLUAct, rng)
+	l.SetAgg(graph.NewAggIndex(g))
 	nOut := 5
 	labels := []int32{0, 1, 2, 3, 0}
 	mask := []bool{true, true, false, true, true}
@@ -338,6 +343,7 @@ func TestGATAttentionSumsToOne(t *testing.T) {
 	h := tensor.New(10, 4)
 	tensor.GaussianInit(h, 1, rng)
 	l := NewGATConv(4, 4, NoAct, rng)
+	l.SetAgg(graph.NewAggIndex(g))
 	l.Forward(g, h, 10)
 	for v, alpha := range l.alpha {
 		var s float64

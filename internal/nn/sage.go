@@ -33,10 +33,13 @@ import (
 // per-row projection cost (graph.AggIndex.ChunksFor) so wide layers stay
 // balanced. The per-destination accumulation order is fixed by construction:
 // the self term first (an overwrite), then the incoming neighbor
-// contributions in ascending source order — exactly what the scalar
-// fallback below produces over its explicit concat, so engine and fallback
-// are bit-identical (the aggregation property tests and the fused kernel
-// tests pin this).
+// contributions in ascending source order — exactly what the textbook
+// explicit-concat formulation produces, so the two are bit-identical (the
+// aggregation property tests compare every pass against that reference,
+// and the fused kernel tests pin the kernels).
+//
+// Every pass needs the aggregation plan of the graph it runs over
+// (SetAgg); a pass with no plan installed panics.
 type SAGEConv struct {
 	InDim, OutDim int
 	Act           Activation
@@ -46,9 +49,8 @@ type SAGEConv struct {
 	DW *tensor.Matrix
 	DB *tensor.Matrix
 
-	// agg, when set, is the aggregation plan (transposed index +
-	// edge-balanced chunks) for the graph the passes run over; nil falls
-	// back to serial per-edge walks with identical bits.
+	// agg is the aggregation plan (transposed index + edge-balanced
+	// chunks) for the graph the passes run over.
 	agg *graph.AggIndex
 
 	// Forward caches for backward.
@@ -57,15 +59,13 @@ type SAGEConv struct {
 	nAll   int
 	invDeg []float32
 	hIn    *tensor.Matrix // input features of the in-progress chunked pass
-	z      *tensor.Matrix // nOut × InDim aggregated half (fused engine path)
-	concat *tensor.Matrix // nOut × 2*InDim (scalar fallback path only)
+	z      *tensor.Matrix // nOut × InDim aggregated half of [z|h]
 	pre    *tensor.Matrix // nOut × OutDim
 
 	// Layer-owned scratch, reused across calls so steady-state training
 	// allocates nothing. All are fully rewritten (or zeroed) before use.
-	// dz is the fused path's aggregation gradient; dConcat only backs the
-	// scalar fallback.
-	out, dPre, dz, dConcat, dH, dWScratch *tensor.Matrix
+	// dz is the aggregation gradient.
+	out, dPre, dz, dH, dWScratch *tensor.Matrix
 }
 
 // NewSAGEConv creates a SAGE layer with Xavier-initialized weights.
@@ -94,9 +94,7 @@ func (l *SAGEConv) ZeroGrad() { zeroGradAll(l.Grads()) }
 
 // SetAgg installs the aggregation plan for subsequent passes. ai must be
 // built from the same graph the passes receive (trainers rebuild the plan
-// whenever the epoch graph changes); nil reverts to the scalar fallback.
-// Engine and fallback are bit-identical, so flipping this never changes
-// results — only how the edge walks are blocked and parallelized.
+// whenever the epoch graph changes).
 func (l *SAGEConv) SetAgg(ai *graph.AggIndex) { l.agg = ai }
 
 // checkForward validates the shared Forward/ForwardBegin contract.
@@ -110,6 +108,13 @@ func (l *SAGEConv) checkForward(g *graph.Graph, h *tensor.Matrix, nOut int, invD
 	if nOut > h.Rows || len(invDeg) < nOut {
 		panic(fmt.Sprintf("nn: SAGEConv nOut=%d rows=%d invDeg=%d", nOut, h.Rows, len(invDeg)))
 	}
+	// The backward gathers over the plan's transposed index, so only output
+	// rows may carry adjacency: rows ≥ nOut are halo rows, read but never
+	// aggregated. Rows are stored in order, so this is one comparison.
+	if g.Indptr[nOut] != g.Indptr[g.N] {
+		panic(fmt.Sprintf("nn: SAGEConv rows [%d,%d) have %d edges; rows past nOut must carry no adjacency", nOut, g.N, g.Indptr[g.N]-g.Indptr[nOut]))
+	}
+	requireAgg("SAGEConv", l.agg)
 }
 
 // fusedChunks returns the edge-balanced chunk list for the fused forward,
@@ -127,24 +132,11 @@ func (l *SAGEConv) Forward(g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []
 	l.checkForward(g, h, nOut, invDeg)
 	l.g, l.nOut, l.nAll, l.invDeg, l.hIn = g, nOut, h.Rows, invDeg, h
 
-	in := l.InDim
+	// pre = [diag(invDeg)·A·h | h]·W with no concat matrix;
+	// z_v = invDeg[v]·Σ_{u∈N(v)} h_u is kept for the backward's dW.
 	pre := ensureMat(&l.pre, nOut, l.OutDim)
-	if l.agg != nil {
-		// Fused path: pre = [diag(invDeg)·A·h | h]·W with no concat matrix;
-		// z_v = invDeg[v]·Σ_{u∈N(v)} h_u is kept for the backward's dW.
-		z := ensureMat(&l.z, nOut, in)
-		tensor.SpMMMatMul(pre, z, h, l.W, g.Indptr, g.Indices, invDeg, l.fusedChunks())
-	} else {
-		// Scalar fallback: aggregate into the left half of the concat
-		// buffer, place h_v in the right half, project. Bit-identical to
-		// the fused path (the fused kernel tests pin this).
-		concat := ensureMat(&l.concat, nOut, 2*in)
-		tensor.SpMM(concat, h, g.Indptr, g.Indices, invDeg, nil)
-		for v := 0; v < nOut; v++ {
-			copy(concat.Row(v)[in:], h.Row(v))
-		}
-		tensor.MatMul(pre, concat, l.W)
-	}
+	z := ensureMat(&l.z, nOut, l.InDim)
+	tensor.SpMMMatMul(pre, z, h, l.W, g.Indptr, g.Indices, invDeg, l.fusedChunks())
 	for v := 0; v < nOut; v++ {
 		row := pre.Row(v)
 		for j, b := range l.B.Row(0) {
@@ -160,17 +152,13 @@ func (l *SAGEConv) Forward(g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []
 // the backward caches, and returns the output matrix whose rows ForwardRows
 // will fill. Chunking cannot change results — every output row is computed
 // with exactly the per-row arithmetic of the one-shot Forward (see
-// tensor.SpMMRows/MatMulRows) and rows are independent — so any
+// tensor.SpMMMatMulRows) and rows are independent — so any
 // duplicate-free partition of [0, nOut) reproduces Forward bit for bit; the
 // chunked-pass property tests pin this.
 func (l *SAGEConv) ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []float32) *tensor.Matrix {
 	l.checkForward(g, h, nOut, invDeg)
 	l.g, l.nOut, l.nAll, l.invDeg, l.hIn = g, nOut, h.Rows, invDeg, h
-	if l.agg != nil {
-		ensureMat(&l.z, nOut, l.InDim)
-	} else {
-		ensureMat(&l.concat, nOut, 2*l.InDim)
-	}
+	ensureMat(&l.z, nOut, l.InDim)
 	ensureMat(&l.pre, nOut, l.OutDim)
 	return ensureMat(&l.out, nOut, l.OutDim)
 }
@@ -189,18 +177,7 @@ func (l *SAGEConv) ForwardPrepRows(rows []int32) {}
 // pipelined engine runs halo-independent rows while boundary features are
 // still in flight.
 func (l *SAGEConv) ForwardRows(rows []int32) {
-	in := l.InDim
-	h := l.hIn
-	if l.agg != nil {
-		tensor.SpMMMatMulRows(l.pre, l.z, h, l.W, l.g.Indptr, l.g.Indices, l.invDeg, rows)
-	} else {
-		tensor.SpMMRows(l.concat, h, l.g.Indptr, l.g.Indices, l.invDeg, rows)
-		for _, v32 := range rows {
-			v := int(v32)
-			copy(l.concat.Row(v)[in:], h.Row(v))
-		}
-		tensor.MatMulRows(l.pre, l.concat, l.W, rows)
-	}
+	tensor.SpMMMatMulRows(l.pre, l.z, l.hIn, l.W, l.g.Indptr, l.g.Indices, l.invDeg, rows)
 	for _, v32 := range rows {
 		row := l.pre.Row(int(v32))
 		for j, b := range l.B.Row(0) {
@@ -212,25 +189,10 @@ func (l *SAGEConv) ForwardRows(rows []int32) {
 
 // addNeighborGrads accumulates the neighbor term of the input gradient for
 // every destination row in [destLo, destHi): dH.Row(u) += Σ invDeg[v]·dz_v
-// over the sources v with u ∈ N(v), in ascending source order. With an
-// aggregation plan this is a parallel gather over the transposed index;
-// without one it is the equivalent serial scatter — destinations still
-// receive contributions in ascending v because the sweep itself ascends.
+// over the sources v with u ∈ N(v), in ascending source order — a parallel
+// gather over the plan's transposed index.
 func (l *SAGEConv) addNeighborGrads(destLo, destHi int) {
-	in := l.InDim
-	if l.agg != nil {
-		tensor.SpMMTransRange(l.dH, l.dz, l.agg.IncIndptr, l.agg.IncSrc, l.invDeg, l.agg.IncChunks, destLo, destHi)
-		return
-	}
-	for v := 0; v < l.nOut; v++ {
-		s := l.invDeg[v]
-		dz := l.dConcat.Row(v)[:in]
-		for _, u := range l.g.Neighbors(int32(v)) {
-			if int(u) >= destLo && int(u) < destHi {
-				tensor.Axpy(l.dH.Data[int(u)*in:int(u)*in+in], dz, s)
-			}
-		}
-	}
+	tensor.SpMMTransRange(l.dH, l.dz, l.agg.IncIndptr, l.agg.IncSrc, l.invDeg, l.agg.IncChunks, destLo, destHi)
 }
 
 // Backward consumes dOut (nOut × OutDim), accumulates DW/DB, and returns the
@@ -245,39 +207,24 @@ func (l *SAGEConv) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 	copy(dPre.Data, dOut.Data)
 	activationGrad(l.Act, dPre, l.pre)
 
-	// Parameter gradients. The fused path reads the concat operand's halves
-	// in place ([z|h]) — bit-identical to MatMulTransA over the explicit
-	// concat the fallback keeps.
+	// Parameter gradients, reading the concat operand's halves in place
+	// ([z|h]) — bit-identical to MatMulTransA over an explicit concat.
 	dW := ensureMat(&l.dWScratch, 2*l.InDim, l.OutDim)
-	if l.agg != nil {
-		tensor.MatMulTransASplit(dW, l.z, l.hIn, dPre)
-	} else {
-		tensor.MatMulTransA(dW, l.concat, dPre)
-	}
+	tensor.MatMulTransASplit(dW, l.z, l.hIn, dPre)
 	l.DW.Add(dW)
 	for v := 0; v < l.nOut; v++ {
 		tensor.AddTo(l.DB.Row(0), dPre.Row(v))
 	}
 
 	// Input gradients: self terms first (an overwrite of the accumulator
-	// row), then the neighbor gather in ascending source order.
-	in := l.InDim
-	dH := ensureMat(&l.dH, l.nAll, in)
-	if l.agg != nil {
-		// Fused sweep: dz and the self terms in one pass, no dConcat. Every
-		// row < nOut is fully overwritten by the split writes, so only the
-		// remaining rows need zeroing before the gather accumulates.
-		dz := ensureMat(&l.dz, l.nOut, in)
-		l.zeroDHTail()
-		tensor.MatMulTransBSplit(dz, dH, dPre, l.W)
-	} else {
-		dConcat := ensureMat(&l.dConcat, l.nOut, 2*in)
-		tensor.MatMulTransB(dConcat, dPre, l.W)
-		dH.Zero()
-		for v := 0; v < l.nOut; v++ {
-			copy(dH.Row(v), dConcat.Row(v)[in:])
-		}
-	}
+	// row), then the neighbor gather in ascending source order. One fused
+	// sweep writes dz and the self terms; every row < nOut is fully
+	// overwritten by the split writes, so only the remaining rows need
+	// zeroing before the gather accumulates.
+	dH := ensureMat(&l.dH, l.nAll, l.InDim)
+	dz := ensureMat(&l.dz, l.nOut, l.InDim)
+	l.zeroDHTail()
+	tensor.MatMulTransBSplit(dz, dH, dPre, l.W)
 	l.addNeighborGrads(0, l.nAll)
 	return dH
 }
@@ -308,16 +255,11 @@ func (l *SAGEConv) BackwardBegin(dOut *tensor.Matrix) {
 	copy(dPre.Data, dOut.Data)
 	activationGrad(l.Act, dPre, l.pre)
 	ensureMat(&l.dH, l.nAll, l.InDim)
-	if l.agg != nil {
-		ensureMat(&l.dz, l.nOut, l.InDim) // rows filled stage by stage
-		// The halo/finish split writes overwrite every dH row < nOut
-		// exactly once (haloSrc ∪ freeSrc covers [0,nOut)) before any
-		// gather lands on it, so only the tail rows need zeroing.
-		l.zeroDHTail()
-	} else {
-		ensureMat(&l.dConcat, l.nOut, 2*l.InDim) // rows filled stage by stage
-		l.dH.Zero()
-	}
+	ensureMat(&l.dz, l.nOut, l.InDim) // rows filled stage by stage
+	// The halo/finish split writes overwrite every dH row < nOut exactly
+	// once (haloSrc ∪ freeSrc covers [0,nOut)) before any gather lands on
+	// it, so only the tail rows need zeroing.
+	l.zeroDHTail()
 }
 
 // BackwardHalo completes the halo rows [nIn, nAll) of the input gradient so
@@ -327,28 +269,13 @@ func (l *SAGEConv) BackwardBegin(dOut *tensor.Matrix) {
 // needed. The returned matrix is the shared input-gradient accumulator: its
 // rows ≥ nIn are final, rows < nIn complete only after BackwardFinish.
 func (l *SAGEConv) BackwardHalo(haloSrc, haloSlots []int32, nIn int) *tensor.Matrix {
-	in := l.InDim
-	if l.agg != nil {
-		// Fused sweep over the halo sources: each dz row and its self term
-		// (overwriting its dH row, before any gather reaches it) land in one
-		// pass. Every source of a halo destination has a halo neighbor, i.e.
-		// is in haloSrc — its dz row was just computed — so the row gather
-		// over the transposed index is complete and in ascending order.
-		tensor.MatMulTransBSplitRows(l.dz, l.dH, l.dPre, l.W, haloSrc)
-		tensor.SpMMTransRows(l.dH, l.dz, l.agg.IncIndptr, l.agg.IncSrc, l.invDeg, haloSlots)
-		return l.dH
-	}
-	tensor.MatMulTransBRows(l.dConcat, l.dPre, l.W, haloSrc)
-	for _, v32 := range haloSrc {
-		v := int(v32)
-		s := l.invDeg[v]
-		dz := l.dConcat.Row(v)[:in]
-		for _, u := range l.g.Neighbors(v32) {
-			if int(u) >= nIn {
-				tensor.Axpy(l.dH.Data[int(u)*in:int(u)*in+in], dz, s)
-			}
-		}
-	}
+	// Fused sweep over the halo sources: each dz row and its self term
+	// (overwriting its dH row, before any gather reaches it) land in one
+	// pass. Every source of a halo destination has a halo neighbor, i.e. is
+	// in haloSrc — its dz row was just computed — so the row gather over the
+	// transposed index is complete and in ascending order.
+	tensor.MatMulTransBSplitRows(l.dz, l.dH, l.dPre, l.W, haloSrc)
+	tensor.SpMMTransRows(l.dH, l.dz, l.agg.IncIndptr, l.agg.IncSrc, l.invDeg, haloSlots)
 	return l.dH
 }
 
@@ -357,28 +284,15 @@ func (l *SAGEConv) BackwardHalo(haloSrc, haloSlots []int32, nIn int) *tensor.Mat
 // BackwardHalo's haloSrc; together they cover [0, nOut) exactly once.
 func (l *SAGEConv) BackwardFinish(freeSrc []int32, nIn int) *tensor.Matrix {
 	dW := ensureMat(&l.dWScratch, 2*l.InDim, l.OutDim)
-	if l.agg != nil {
-		tensor.MatMulTransASplit(dW, l.z, l.hIn, l.dPre)
-	} else {
-		tensor.MatMulTransA(dW, l.concat, l.dPre)
-	}
+	tensor.MatMulTransASplit(dW, l.z, l.hIn, l.dPre)
 	l.DW.Add(dW)
 	for v := 0; v < l.nOut; v++ {
 		tensor.AddTo(l.DB.Row(0), l.dPre.Row(v))
 	}
-	if l.agg != nil {
-		// The halo stage already wrote haloSrc's dz rows and self terms;
-		// this sweep covers the rest, completing [0, nOut) exactly once
-		// before the inner-row gather accumulates.
-		tensor.MatMulTransBSplitRows(l.dz, l.dH, l.dPre, l.W, freeSrc)
-		l.addNeighborGrads(0, nIn)
-		return l.dH
-	}
-	tensor.MatMulTransBRows(l.dConcat, l.dPre, l.W, freeSrc)
-	in := l.InDim
-	for v := 0; v < l.nOut; v++ {
-		copy(l.dH.Row(v), l.dConcat.Row(v)[in:]) // self term (v < nIn by construction)
-	}
+	// The halo stage already wrote haloSrc's dz rows and self terms; this
+	// sweep covers the rest, completing [0, nOut) exactly once before the
+	// inner-row gather accumulates.
+	tensor.MatMulTransBSplitRows(l.dz, l.dH, l.dPre, l.W, freeSrc)
 	l.addNeighborGrads(0, nIn)
 	return l.dH
 }

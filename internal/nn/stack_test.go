@@ -26,6 +26,8 @@ func TestTwoLayerStackGradientCheck(t *testing.T) {
 	tensor.GaussianInit(h, 1, rng)
 	l1 := NewSAGEConv(3, 5, ReLUAct, rng)
 	l2 := NewSAGEConv(5, 4, NoAct, rng)
+	l1.SetAgg(graph.NewAggIndex(g))
+	l2.SetAgg(graph.NewAggIndex(g))
 	labels := []int32{0, 1, 2, 3, 0, 1, 2, 3, 0}
 	mask := make([]bool, 9)
 	for i := range mask {
@@ -69,6 +71,7 @@ func TestGradAccumulationAcrossBackwardCalls(t *testing.T) {
 	h := tensor.New(6, 3)
 	tensor.GaussianInit(h, 1, rng)
 	l := NewSAGEConv(3, 2, NoAct, rng)
+	l.SetAgg(graph.NewAggIndex(g))
 	out := l.Forward(g, h, 6, InvDegrees(g))
 	dOut := tensor.New(out.Rows, out.Cols)
 	dOut.Fill(1)
@@ -112,11 +115,13 @@ func TestSAGEConvRejectsBadShapes(t *testing.T) {
 	rng := tensor.NewRNG(25)
 	g := randGraph(rng, 4, 6)
 	l := NewSAGEConv(3, 2, NoAct, rng)
+	l.SetAgg(graph.NewAggIndex(g))
 	cases := []func(){
-		func() { l.Forward(g, tensor.New(4, 5), 4, make([]float32, 4)) }, // wrong dim
-		func() { l.Forward(g, tensor.New(5, 3), 5, make([]float32, 5)) }, // rows != g.N
-		func() { l.Forward(g, tensor.New(4, 3), 5, make([]float32, 5)) }, // nOut > rows
-		func() { l.Forward(g, tensor.New(4, 3), 4, make([]float32, 2)) }, // short invDeg
+		func() { l.Forward(g, tensor.New(4, 5), 4, make([]float32, 4)) },           // wrong dim
+		func() { l.Forward(g, tensor.New(5, 3), 5, make([]float32, 5)) },           // rows != g.N
+		func() { l.Forward(g, tensor.New(4, 3), 5, make([]float32, 5)) },           // nOut > rows
+		func() { l.Forward(g, tensor.New(4, 3), 4, make([]float32, 2)) },           // short invDeg
+		func() { l.Forward(lineGraph(), tensor.New(5, 3), 3, make([]float32, 5)) }, // halo rows with edges
 	}
 	for i, fn := range cases {
 		func() {
@@ -134,6 +139,7 @@ func TestGATConvRejectsBadShapes(t *testing.T) {
 	rng := tensor.NewRNG(26)
 	g := randGraph(rng, 4, 6)
 	l := NewGATConv(3, 2, NoAct, rng)
+	l.SetAgg(graph.NewAggIndex(g))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

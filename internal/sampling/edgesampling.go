@@ -34,7 +34,8 @@ func (m EdgeDropMode) String() string {
 // parallel communication volume each epoch's surviving edges would require:
 // a boundary node must still be communicated if at least one of its
 // cross-partition edges survives — the paper's core argument for why edge
-// sampling cannot match boundary-node sampling.
+// sampling cannot match boundary-node sampling. Every epoch runs through the
+// same Model driver and fused aggregation engine as FullTrainer.
 type EdgeDropTrainer struct {
 	DS   *datagen.Dataset
 	Topo *core.Topology
@@ -45,6 +46,8 @@ type EdgeDropTrainer struct {
 	Model *core.Model
 	Opt   optim.Optimizer
 	rng   *tensor.RNG
+	agg   graph.AggIndex    // rebuilt in place for every epoch graph
+	eval  *core.FullTrainer // exact full-graph evaluator, shares Model
 
 	SampleTime  time.Duration
 	ComputeTime time.Duration
@@ -65,6 +68,7 @@ func NewEdgeDropTrainer(ds *datagen.Dataset, topo *core.Topology, cfg core.Model
 	return &EdgeDropTrainer{
 		DS: ds, Topo: topo, Mode: mode, KeepProb: keepProb,
 		Model: model, Opt: optim.NewAdam(cfg.LR), rng: tensor.NewRNG(seed),
+		eval: core.NewFullTrainerFor(ds, model),
 	}, nil
 }
 
@@ -116,31 +120,17 @@ func (t *EdgeDropTrainer) TrainEpoch() float64 {
 	cs := time.Now()
 	defer func() { t.ComputeTime += time.Since(cs) }()
 
-	invDeg := nn.InvDegrees(g)
-	h := t.DS.Features
-	for l, layer := range t.Model.LayersL {
-		h = t.Model.Dropouts[l].Forward(h, true)
-		h = layer.Forward(g, h, g.N, invDeg)
-	}
-	loss, d := core.Loss(t.DS, h, t.DS.Labels, t.DS.LabelMatrix, t.DS.TrainMask, 0)
+	t.agg.Build(g)
+	logits := t.Model.Forward(g, &t.agg, t.DS.Features, nn.InvDegrees(g), true)
+	loss, d := core.Loss(t.DS, logits, t.DS.Labels, t.DS.LabelMatrix, t.DS.TrainMask, 0)
 	t.Model.ZeroGrad()
-	for l := len(t.Model.LayersL) - 1; l >= 0; l-- {
-		d = t.Model.LayersL[l].Backward(d)
-		d = t.Model.Dropouts[l].Backward(d)
-	}
+	t.Model.Backward(d)
 	t.Opt.Step(t.Model.Params(), t.Model.Grads())
 	return loss
 }
 
 // Evaluate scores the model with exact full-graph inference.
-func (t *EdgeDropTrainer) Evaluate(mask []bool) float64 {
-	invDeg := nn.InvDegrees(t.DS.G)
-	h := t.DS.Features
-	for _, layer := range t.Model.LayersL {
-		h = layer.Forward(t.DS.G, h, t.DS.G.N, invDeg)
-	}
-	return core.Score(t.DS, h, mask)
-}
+func (t *EdgeDropTrainer) Evaluate(mask []bool) float64 { return t.eval.Evaluate(mask) }
 
 // BNSDroppedEdges returns the expected number of undirected cross-partition
 // edges BNS at rate p drops, used to calibrate Table 9's equal-drop

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/tensor"
@@ -12,7 +13,9 @@ import (
 
 // MinibatchTrainer trains a model with any subgraph Sampler, mirroring how
 // the OGB reference implementations run the sampling baselines the paper
-// compares against in Tables 4, 5 and 11. Sampling time is measured
+// compares against in Tables 4, 5 and 11. Every batch runs through the same
+// Model driver and fused aggregation engine as the full-graph trainers, so
+// time columns compare methods, not kernels. Sampling time is measured
 // separately from compute time so Table 12's overhead percentages can be
 // reproduced.
 type MinibatchTrainer struct {
@@ -23,12 +26,14 @@ type MinibatchTrainer struct {
 
 	SampleTime  time.Duration
 	ComputeTime time.Duration
-	evalTrainer *core.FullTrainer
+	eval        *core.FullTrainer // exact full-graph evaluator, shares Model
 
 	// Trainer-owned batch scratch, sized to the largest batch seen and
 	// reused — the same layer-owned-scratch discipline RankTrainer's epoch
 	// engine runs with, so a steady-state TrainStep's only allocations are
-	// the sampler's own batch assembly.
+	// the sampler's own batch assembly. batchAgg is rebuilt in place for
+	// every batch graph.
+	batchAgg    graph.AggIndex
 	featsBuf    *tensor.Matrix
 	labelMatBuf *tensor.Matrix
 	gradBuf     *tensor.Matrix
@@ -85,6 +90,7 @@ func NewMinibatchTrainer(ds *datagen.Dataset, cfg core.ModelConfig, s Sampler) (
 		Model:   model,
 		Opt:     optim.NewAdam(cfg.LR),
 		Sampler: s,
+		eval:    core.NewFullTrainerFor(ds, model),
 	}, nil
 }
 
@@ -112,19 +118,13 @@ func (t *MinibatchTrainer) TrainStep() float64 {
 		}
 	}
 	invDeg := nn.InvDegreesInto(ensureF32(&t.invDegBuf, batch.G.N), batch.G)
+	t.batchAgg.Build(batch.G)
 
-	h := feats
-	for l, layer := range t.Model.LayersL {
-		h = t.Model.Dropouts[l].Forward(h, true)
-		h = layer.Forward(batch.G, h, batch.G.N, invDeg)
-	}
-	d := ensureMat(&t.gradBuf, h.Rows, h.Cols)
-	loss := core.LossInto(d, t.DS, h, labels, labelMatrix, batch.TargetMask, 0)
+	logits := t.Model.Forward(batch.G, &t.batchAgg, feats, invDeg, true)
+	d := ensureMat(&t.gradBuf, logits.Rows, logits.Cols)
+	loss := core.LossInto(d, t.DS, logits, labels, labelMatrix, batch.TargetMask, 0)
 	t.Model.ZeroGrad()
-	for l := len(t.Model.LayersL) - 1; l >= 0; l-- {
-		d = t.Model.LayersL[l].Backward(d)
-		d = t.Model.Dropouts[l].Backward(d)
-	}
+	t.Model.Backward(d)
 	t.Opt.Step(t.Model.Params(), t.Model.Grads())
 	return loss
 }
@@ -140,22 +140,7 @@ func (t *MinibatchTrainer) TrainEpoch() float64 {
 }
 
 // Evaluate scores the model with exact full-graph inference on mask.
-func (t *MinibatchTrainer) Evaluate(mask []bool) float64 {
-	if t.evalTrainer == nil {
-		t.evalTrainer = &core.FullTrainer{DS: t.DS, Model: t.Model}
-	}
-	logits := t.fullForward()
-	return core.Score(t.DS, logits, mask)
-}
-
-func (t *MinibatchTrainer) fullForward() *tensor.Matrix {
-	invDeg := nn.InvDegrees(t.DS.G)
-	h := t.DS.Features
-	for _, layer := range t.Model.LayersL {
-		h = layer.Forward(t.DS.G, h, t.DS.G.N, invDeg)
-	}
-	return h
-}
+func (t *MinibatchTrainer) Evaluate(mask []bool) float64 { return t.eval.Evaluate(mask) }
 
 // OverheadFraction returns sampling time / (sampling + compute) time, the
 // quantity Table 12 reports.

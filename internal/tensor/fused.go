@@ -96,16 +96,6 @@ func SpMMMatMul(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale []f
 	})
 }
 
-// SpMMMatMulRange computes rows [lo,hi) of SpMMMatMul, leaving all other rows
-// of pre and z untouched.
-func SpMMMatMulRange(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale []float32, lo, hi int) {
-	checkFused("SpMMMatMulRange", pre, z, h, w, indptr, scale)
-	if lo < 0 || hi < lo || hi > pre.Rows {
-		panic(fmt.Sprintf("tensor: SpMMMatMulRange rows [%d,%d) outside [0,%d)", lo, hi, pre.Rows))
-	}
-	spmmMatMulRange(pre, z, h, w, indptr, indices, scale, lo, hi)
-}
-
 func spmmMatMulRange(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale []float32, lo, hi int) {
 	if hi-lo <= spmmGrain || maxProcs == 1 { // skip the closure: it would escape
 		spmmMatMulSeg(pre, z, h, w, indptr, indices, scale, lo, hi)
@@ -134,7 +124,7 @@ func spmmMatMulSeg(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale 
 // SpMMMatMulRows computes the listed rows of SpMMMatMul, leaving all other
 // rows untouched. rows must be in-range and duplicate-free; order is
 // irrelevant. This is the row-subset entry the pipelined epoch engine's
-// halo-free and per-peer buckets drive (mirroring SpMMRows/MatMulRows).
+// halo-free and per-peer buckets drive (mirroring MatMulRows).
 func SpMMMatMulRows(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale []float32, rows []int32) {
 	checkFused("SpMMMatMulRows", pre, z, h, w, indptr, scale)
 	if len(rows) <= spmmGrain || maxProcs == 1 { // skip the closure: it would escape

@@ -190,11 +190,12 @@ func spmmRow(out, x *Matrix, indptr []int64, indices []int32, scale []float32, r
 //
 // i.e. out = diag(scale)·A·x over the CSR adjacency (indptr, indices). scale
 // == nil skips the rescale. out.Cols may exceed x.Cols: only the first
-// x.Cols entries of each row are written (the SAGE layer aggregates into the
-// left half of its concat buffer). chunks, when non-nil, is an edge-balanced
-// row-chunk boundary list (graph.AggIndex.Chunks): ascending, chunks[0] = 0,
-// boundaries clamped to out.Rows, each chunk claimed whole by one worker.
-// Rows are independent, so every execution strategy is bit-identical.
+// x.Cols entries of each row are written (the explicit-concat SAGE
+// reference aggregates into the left half of its concat buffer). chunks,
+// when non-nil, is an edge-balanced row-chunk boundary list
+// (graph.AggIndex.Chunks): ascending, chunks[0] = 0, boundaries clamped to
+// out.Rows, each chunk claimed whole by one worker. Rows are independent,
+// so every execution strategy is bit-identical.
 func SpMM(out, x *Matrix, indptr []int64, indices []int32, scale []float32, chunks []int32) {
 	checkSpMM("SpMM", out, x, indptr, indices, scale)
 	if chunks == nil || maxProcs == 1 {
@@ -213,15 +214,6 @@ func SpMM(out, x *Matrix, indptr []int64, indices []int32, scale []float32, chun
 	})
 }
 
-// SpMMRange computes rows [lo,hi) of SpMM, leaving all other rows untouched.
-func SpMMRange(out, x *Matrix, indptr []int64, indices []int32, scale []float32, lo, hi int) {
-	checkSpMM("SpMMRange", out, x, indptr, indices, scale)
-	if lo < 0 || hi < lo || hi > out.Rows {
-		panic(fmt.Sprintf("tensor: SpMMRange rows [%d,%d) outside [0,%d)", lo, hi, out.Rows))
-	}
-	spmmRange(out, x, indptr, indices, scale, lo, hi)
-}
-
 func spmmRange(out, x *Matrix, indptr []int64, indices []int32, scale []float32, lo, hi int) {
 	if hi-lo <= spmmGrain || maxProcs == 1 { // skip the closure: it would escape
 		for r := lo; r < hi; r++ {
@@ -232,25 +224,6 @@ func spmmRange(out, x *Matrix, indptr []int64, indices []int32, scale []float32,
 	parallelGrain(hi-lo, spmmGrain, func(l, h int) {
 		for r := lo + l; r < lo+h; r++ {
 			spmmRow(out, x, indptr, indices, scale, r)
-		}
-	})
-}
-
-// SpMMRows computes the listed rows of SpMM, leaving all other rows
-// untouched. rows must be in-range and duplicate-free; order is irrelevant.
-// This is the row-subset entry the pipelined epoch engine's halo-free and
-// per-peer row buckets drive (mirroring MatMulRows).
-func SpMMRows(out, x *Matrix, indptr []int64, indices []int32, scale []float32, rows []int32) {
-	checkSpMM("SpMMRows", out, x, indptr, indices, scale)
-	if len(rows) <= spmmGrain || maxProcs == 1 { // skip the closure: it would escape
-		for _, r := range rows {
-			spmmRow(out, x, indptr, indices, scale, int(r))
-		}
-		return
-	}
-	parallelGrain(len(rows), spmmGrain, func(l, h int) {
-		for _, r := range rows[l:h] {
-			spmmRow(out, x, indptr, indices, scale, int(r))
 		}
 	})
 }
