@@ -47,81 +47,28 @@ func (c *ModelConfig) Validate() error {
 	return nil
 }
 
-// GraphLayer is the uniform layer interface the trainers drive: forward over
-// a local node space producing outputs for the first nOut rows, backward
-// returning input gradients for all rows.
-//
-// Besides the one-shot Forward/Backward (what Model.Forward/Backward run for
-// the full-graph trainers), every layer exposes the chunked passes the
-// pipelined epoch engine runs so halo exchange can overlap with
-// halo-independent compute:
-//
-//   - ForwardBegin → ForwardPrep/ForwardRows: rows whose aggregation reads no
-//     halo slot can run while boundary features are in flight; the remaining
-//     rows run on arrival. Any duplicate-free row partition is bit-identical
-//     to the one-shot Forward.
-//   - BackwardBegin → BackwardHalo → BackwardFinish: halo-row input gradients
-//     complete first (so they can be sent), then parameter gradients and the
-//     inner rows while the peer gradients are in flight. The staged schedule
-//     is bit-identical to the one-shot Backward.
+// GraphLayer is the uniform layer interface the trainers drive: the staged
+// row-list passes of nn.GraphConv (what the pipelined epoch engine,
+// Model.Forward/Backward and the serving engine run), plus Forward/Backward, a
+// whole pass through those stages (nn.Forward/nn.Backward) over a local node
+// space producing outputs for the first nOut rows and input gradients for
+// all rows.
 type GraphLayer interface {
-	nn.Layer
+	nn.GraphConv
 	Forward(g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []float32) *tensor.Matrix
 	Backward(dOut *tensor.Matrix) *tensor.Matrix
-
-	// SetAgg installs the sparse-aggregation plan (graph.AggIndex: the
-	// transposed index plus edge-balanced chunk boundaries) the layer's
-	// passes run over. The plan must be built from the same graph the
-	// passes receive; trainers rebuild it whenever the epoch graph changes.
-	// Every pass needs one: a pass with no plan installed panics.
-	SetAgg(ai *graph.AggIndex)
-
-	// ForwardBegin prepares a chunked pass and returns the output matrix the
-	// ForwardRows calls will fill.
-	ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []float32) *tensor.Matrix
-	// ForwardPrep runs per-node precomputations for feature rows [r0, r1)
-	// (a no-op for SAGE; Wh and attention scores for GAT).
-	ForwardPrep(r0, r1 int)
-	// ForwardPrepRows is ForwardPrep for an explicit row list — the
-	// arrival-order drain preps one peer's halo slots as they land.
-	ForwardPrepRows(rows []int32)
-	// ForwardRows computes the listed output rows; each row of [0, nOut)
-	// must be covered exactly once per pass.
-	ForwardRows(rows []int32)
-
-	// BackwardBegin computes the pre-activation gradients for dOut and
-	// resets the pass accumulators.
-	BackwardBegin(dOut *tensor.Matrix)
-	// BackwardHalo completes the halo rows of the input gradient: haloSrc
-	// lists (ascending) every output row with a neighbor ≥ nIn, haloSlots
-	// the halo rows whose gradients are needed. Rows < nIn of the returned
-	// matrix are valid only after BackwardFinish.
-	BackwardHalo(haloSrc, haloSlots []int32, nIn int) *tensor.Matrix
-	// BackwardFinish accumulates parameter gradients and completes rows
-	// [0, nIn); freeSrc lists (ascending) the output rows not in haloSrc.
-	BackwardFinish(freeSrc []int32, nIn int) *tensor.Matrix
-
-	InputDim() int
-	OutputDim() int
 }
 
-// sageLayer adapts nn.SAGEConv to GraphLayer.
-type sageLayer struct{ *nn.SAGEConv }
+// graphLayer adapts an nn graph layer to GraphLayer.
+type graphLayer struct{ nn.GraphConv }
 
-func (l sageLayer) InputDim() int  { return l.SAGEConv.InDim }
-func (l sageLayer) OutputDim() int { return l.SAGEConv.OutDim }
-
-// gatLayer adapts nn.GATConv to GraphLayer (invDeg is unused by attention).
-type gatLayer struct{ *nn.GATConv }
-
-func (l gatLayer) Forward(g *graph.Graph, h *tensor.Matrix, nOut int, _ []float32) *tensor.Matrix {
-	return l.GATConv.Forward(g, h, nOut)
+func (l graphLayer) Forward(g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []float32) *tensor.Matrix {
+	return nn.Forward(l.GraphConv, g, h, nOut, invDeg)
 }
-func (l gatLayer) ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int, _ []float32) *tensor.Matrix {
-	return l.GATConv.ForwardBegin(g, h, nOut)
+
+func (l graphLayer) Backward(dOut *tensor.Matrix) *tensor.Matrix {
+	return nn.Backward(l.GraphConv, dOut)
 }
-func (l gatLayer) InputDim() int  { return l.GATConv.InDim }
-func (l gatLayer) OutputDim() int { return l.GATConv.OutDim }
 
 // Model is a stack of graph layers with per-layer dropout, replicated on
 // every partition during parallel training.
@@ -160,9 +107,9 @@ func NewModel(cfg ModelConfig, inDim, outDim int) (*Model, error) {
 		}
 		switch cfg.Arch {
 		case ArchSAGE:
-			m.LayersL = append(m.LayersL, sageLayer{nn.NewSAGEConv(in, out, act, rng)})
+			m.LayersL = append(m.LayersL, graphLayer{nn.NewSAGEConv(in, out, act, rng)})
 		case ArchGAT:
-			m.LayersL = append(m.LayersL, gatLayer{nn.NewGATConv(in, out, act, rng)})
+			m.LayersL = append(m.LayersL, graphLayer{nn.NewGATConv(in, out, act, rng)})
 		}
 		m.Dropouts = append(m.Dropouts, nn.NewDropout(cfg.Dropout, rng))
 	}

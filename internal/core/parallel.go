@@ -227,12 +227,12 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 // collects the active halo slots. All three lists are ascending, which the
 // staged backward relies on for bit-identical accumulation order.
 //
-// With buckets set (the arrival-order drain) it additionally buckets the
-// halo-dependent rows by awaited peer: peerRows[j] lists every row with an
-// active neighbor owned by rank j, and rowWait[v] counts row v's distinct
-// awaited peers — the countdown that unlocks a row the moment its last
-// peer's payload lands. Bucketing needs the full neighbor scan, so the
-// serialized schedule skips it and keeps the early-out row scan.
+// It also buckets the halo-dependent rows by awaited peer for the
+// arrival-order drain: peerRows[j] lists every row with an active neighbor
+// owned by rank j, and rowWaitInit[v] counts row v's distinct awaited peers —
+// the countdown that unlocks a row the moment its last peer's payload lands.
+// The serialized schedule ignores the buckets; building them anyway costs it
+// one full O(E) integer neighbor scan and keeps one loop for both.
 //
 // With restrict set (a row-dropping strategy under SAGE), inner rows with
 // lp.active[v] false are excluded from both compute lists and collected in
@@ -243,104 +243,45 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 // row is listed (an inactive row under GAT computes as an isolated node:
 // its epoch-graph edges are gone, so it lands in the halo-free list, costs
 // one self-attention, and contributes exactly zero gradient).
-func (lp *LocalPartition) splitRows(eg *graph.Graph, buckets, restrict bool) {
+func (lp *LocalPartition) splitRows(eg *graph.Graph, restrict bool) {
 	free, dep := lp.haloFree[:0], lp.haloDep[:0]
 	skip := lp.skipRows[:0]
+	for j := range lp.peerRows {
+		lp.peerRows[j] = lp.peerRows[j][:0]
+		lp.peerMark[j] = -1
+	}
 	nIn := int32(lp.NIn)
-	if restrict {
-		if buckets {
-			for j := range lp.peerRows {
-				lp.peerRows[j] = lp.peerRows[j][:0]
-				lp.peerMark[j] = -1
-			}
+	for v := int32(0); v < nIn; v++ {
+		if restrict && !lp.active[v] {
+			skip = append(skip, v)
+			lp.rowWaitInit[v] = 0
+			continue
 		}
-		for v := int32(0); v < nIn; v++ {
-			if !lp.active[v] {
-				skip = append(skip, v)
-				lp.rowWaitInit[v] = 0
-				continue
-			}
-			waits := int32(0)
-			for _, u := range eg.Neighbors(v) {
-				if u >= nIn {
-					if !buckets {
-						waits = 1
-						break
-					}
-					o := lp.slotOwner[u-nIn]
-					if lp.peerMark[o] != v {
-						lp.peerMark[o] = v
-						lp.peerRows[o] = append(lp.peerRows[o], v)
-						waits++
-					}
+		waits := int32(0)
+		for _, u := range eg.Neighbors(v) {
+			if u >= nIn {
+				o := lp.slotOwner[u-nIn]
+				if lp.peerMark[o] != v {
+					lp.peerMark[o] = v
+					lp.peerRows[o] = append(lp.peerRows[o], v)
+					waits++
 				}
 			}
-			lp.rowWaitInit[v] = waits
-			if waits > 0 {
-				dep = append(dep, v)
-			} else {
-				free = append(free, v)
-			}
 		}
-		lp.haloFree, lp.haloDep, lp.skipRows = free, dep, skip
-		slots := lp.haloSlots[:0]
-		for s := lp.NIn; s < lp.NIn+lp.NBd; s++ {
-			if lp.active[s] {
-				slots = append(slots, int32(s))
-			}
-		}
-		lp.haloSlots = slots
-		return
-	}
-	lp.skipRows = skip
-	if buckets {
-		for j := range lp.peerRows {
-			lp.peerRows[j] = lp.peerRows[j][:0]
-			lp.peerMark[j] = -1
-		}
-		for v := int32(0); v < nIn; v++ {
-			waits := int32(0)
-			for _, u := range eg.Neighbors(v) {
-				if u >= nIn {
-					o := lp.slotOwner[u-nIn]
-					if lp.peerMark[o] != v {
-						lp.peerMark[o] = v
-						lp.peerRows[o] = append(lp.peerRows[o], v)
-						waits++
-					}
-				}
-			}
-			lp.rowWaitInit[v] = waits
-			if waits > 0 {
-				dep = append(dep, v)
-			} else {
-				free = append(free, v)
-			}
-		}
-	} else {
-		for v := int32(0); v < nIn; v++ {
-			needsHalo := false
-			for _, u := range eg.Neighbors(v) {
-				if u >= nIn {
-					needsHalo = true
-					break
-				}
-			}
-			if needsHalo {
-				dep = append(dep, v)
-			} else {
-				free = append(free, v)
-			}
+		lp.rowWaitInit[v] = waits
+		if waits > 0 {
+			dep = append(dep, v)
+		} else {
+			free = append(free, v)
 		}
 	}
-	lp.haloFree, lp.haloDep = free, dep
 	slots := lp.haloSlots[:0]
 	for s := lp.NIn; s < lp.NIn+lp.NBd; s++ {
 		if lp.active[s] {
 			slots = append(slots, int32(s))
 		}
 	}
-	lp.haloSlots = slots
+	lp.haloFree, lp.haloDep, lp.skipRows, lp.haloSlots = free, dep, skip, slots
 }
 
 // epochGraph rebuilds the node-induced local subgraph on the plan's active

@@ -13,17 +13,18 @@ import (
 // partition's view, executed as a per-layer stage schedule instead of the
 // old strictly serialized sample → exchange → compute phases.
 //
-// Every layer pass runs in compute chunks over a per-epoch row partition
-// (LocalPartition.splitRows): the halo-free rows, whose aggregation reads no
-// sampled boundary slot, and the halo-dependent remainder. The row buckets
-// drive the sparse SpMM engine (tensor.SpMMMatMulRows and friends, over the
-// aggregation plan LocalPartition rebuilds with each epoch graph): the
-// chunked row passes, the one-shot passes, and the engine's edge-blocked
-// kernels are all bit-identical per row, so the schedule equivalences below
-// hold unchanged on top of it. Halo sends and
-// receives are posted asynchronously (comm.Worker.ISendF32/IRecvF32) before
-// any chunk runs. The two schedules differ only in where the waits sit and
-// in what order peer payloads are consumed:
+// Every layer pass runs the staged row-list passes of nn.GraphConv over a
+// per-epoch row partition (LocalPartition.splitRows): the halo-free rows,
+// whose aggregation reads no sampled boundary slot, and the halo-dependent
+// remainder, each an ascending list; contiguous ranges are sub-slices of the
+// identity list of the aggregation plan LocalPartition rebuilds with each
+// epoch graph. The row buckets drive the sparse SpMM engine
+// (tensor.SpMMMatMulRows and friends): the row passes are bit-identical per
+// row however the rows are listed, so the schedule equivalences below hold
+// unchanged on top of it. Halo sends and receives are posted asynchronously
+// (comm.Worker.ISendF32/IRecvF32) before any chunk runs. The two schedules
+// differ only in where the waits sit and in what order peer payloads are
+// consumed:
 //
 //	ScheduleSerialized:   post → wait+consume (rank order) → chunk1 → chunk2
 //	ScheduleOverlap:      post → chunk1 → consume peers in ARRIVAL order,
@@ -53,16 +54,17 @@ import (
 // arithmetic with the same RNG consumption order, and are bit-identical by
 // construction: weights, losses, and per-rank payload bytes match exactly on
 // every backend (the overlap equivalence tests pin this, including a skewed
-// comm.WithLinkModel case that inverts peer completion order). The chunked
-// passes themselves are bit-identical to the one-shot layer passes (see nn's
-// chunked-pass property tests), so the engine also reproduces the historical
-// serialized implementation bit for bit.
+// comm.WithLinkModel case that inverts peer completion order). Every split
+// of the row passes is bit-identical to the full pass and to the textbook
+// references (see nn's schedule property tests), so the engine also
+// reproduces the historical serialized implementation bit for bit.
 //
 // Backward is staged the same way per layer: BackwardBegin + BackwardHalo
 // complete the halo rows of the input gradient first, their 1/p-scaled
 // payloads are posted, and the parameter gradients plus inner rows
 // (BackwardFinish) overlap the exchange before the peer gradients are folded
-// into the next layer's output gradient.
+// into the next layer's output gradient. Layer 0 runs the same stages with
+// no exchange: its input gradient is never needed.
 //
 // Timing is split into two comm counters (see EpochStats): CommExposed is
 // the critical-path portion (payload gather/serialize plus actual blocked
@@ -183,7 +185,7 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 		}
 	}
 	if !plan.DropsInner {
-		lp.splitRows(eg, overlap, false)
+		lp.splitRows(eg, false)
 	}
 	recvSlots := lp.recvSlots // halo local ids I fill from j
 	for j := 0; j < k; j++ {
@@ -234,7 +236,7 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 				lp.active[row] = true
 			}
 		}
-		lp.splitRows(eg, overlap, rt.Cfg.Model.Arch == ArchSAGE)
+		lp.splitRows(eg, rt.Cfg.Model.Arch == ArchSAGE)
 	}
 	ws.Sample = time.Since(start)
 	// exchanging: does this epoch move any halo traffic at all? (False for
@@ -250,6 +252,7 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 
 	// --- Forward (lines 8–11) ---
 	nLocal := lp.NIn + lp.NBd
+	ident := lp.agg.Ident // contiguous row ranges are sub-slices of it
 	hInner := lp.Features // inner activations entering the current layer
 	for l, layer := range model.LayersL {
 		dim := layer.InputDim()
@@ -307,7 +310,7 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 			xd := drop.ForwardBegin(x, true)
 			drop.ForwardRows(0, lp.NIn)
 			hInner = layer.ForwardBegin(eg, xd, lp.NIn, invDeg)
-			layer.ForwardPrep(0, lp.NIn)
+			layer.ForwardPrep(ident[:lp.NIn])
 			drop.MaskRows(lp.NIn, nLocal)
 			layer.ForwardRows(lp.haloFree)
 			ws.Compute += time.Since(ps)
@@ -333,10 +336,10 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 			xd := drop.ForwardBegin(x, true)
 			drop.ForwardRows(0, lp.NIn)
 			hInner = layer.ForwardBegin(eg, xd, lp.NIn, invDeg)
-			layer.ForwardPrep(0, lp.NIn)
+			layer.ForwardPrep(ident[:lp.NIn])
 			layer.ForwardRows(lp.haloFree)
 			drop.ForwardRows(lp.NIn, nLocal)
-			layer.ForwardPrep(lp.NIn, nLocal)
+			layer.ForwardPrep(ident[lp.NIn:nLocal])
 			layer.ForwardRows(lp.haloDep)
 			ws.Compute += time.Since(ps)
 		}
@@ -354,11 +357,15 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 		layer := model.LayersL[l]
 		drop := model.Dropouts[l]
 		if l == 0 {
-			// Input features need no gradient: no halo exchange, and the
+			// Input features need no gradient: the same stages run (the
+			// halo stage also completes GAT's halo rows of dWh, which its
+			// weight gradient reads) but nothing is exchanged, and the
 			// dropout backward's output is unused — only the parameter
-			// gradients matter, which the one-shot backward accumulates.
+			// gradients matter.
 			bs := time.Now()
-			layer.Backward(d)
+			layer.BackwardBegin(d)
+			layer.BackwardHalo(lp.haloDep, lp.haloSlots, lp.NIn)
+			layer.BackwardFinish(lp.haloFree, lp.NIn)
 			ws.Compute += time.Since(bs)
 			break
 		}
@@ -565,7 +572,7 @@ func (rt *RankTrainer) drainForwardArrival(w *comm.Worker, x *tensor.Matrix, l, 
 
 		ps := time.Now()
 		drop.ApplyMaskedRows(lp.recvSlots[j])
-		layer.ForwardPrepRows(lp.recvSlots[j])
+		layer.ForwardPrep(lp.recvSlots[j])
 		ready := lp.readyRows[:0]
 		for _, v := range lp.peerRows[j] {
 			lp.rowWait[v]--

@@ -212,7 +212,7 @@ func TestRunnerResizeShrinkDeterminism(t *testing.T) {
 				done[r] <- result{rt, rep, err}
 			}(r)
 		}
-		runVictim(t, ds, topo, cfg, 2, world, cands, dir, every, stopAfter)
+		runVictim(t, ds, topo, cfg, 2, world, cands, dir, every, stopAfter, nil)
 		for r := 0; r < 2; r++ {
 			res := <-done[r]
 			if res.err != nil {
@@ -301,7 +301,7 @@ func TestRunnerResizeGrowBack(t *testing.T) {
 			done[r] <- result{rt, rep, err}
 		}(r)
 	}
-	runVictim(t, ds, topo, cfg, 2, world, cands, dir, every, stopAfter)
+	runVictim(t, ds, topo, cfg, 2, world, cands, dir, every, stopAfter, nil)
 
 	// Both survivors must reach holdEpoch on the shrunken world before the
 	// replacement is launched.
@@ -383,12 +383,13 @@ func TestRunnerResizeDoubleDeathShrinksToTwo(t *testing.T) {
 			done[r] <- result{rt, rep, err}
 		}(r)
 	}
-	var vwg sync.WaitGroup
+	var vwg, together sync.WaitGroup
+	together.Add(2)
 	for v := 2; v < 4; v++ {
 		vwg.Add(1)
 		go func(v int) {
 			defer vwg.Done()
-			runVictim(t, ds, topo, cfg, v, world, cands, dir, every, stopAfter)
+			runVictim(t, ds, topo, cfg, v, world, cands, dir, every, stopAfter, &together)
 		}(v)
 	}
 	vwg.Wait()
@@ -431,7 +432,7 @@ func TestRunnerResizeLoneSurvivorFailsPointedly(t *testing.T) {
 		_, _, err := Run(rc)
 		done <- err
 	}()
-	runVictim(t, ds, topo, cfg, 1, world, cands, dir, every, stopAfter)
+	runVictim(t, ds, topo, cfg, 1, world, cands, dir, every, stopAfter, nil)
 
 	select {
 	case err := <-done:

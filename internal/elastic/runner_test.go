@@ -3,6 +3,7 @@ package elastic
 import (
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,9 +16,12 @@ import (
 // epochs are complete, then abandons the cohort without ceremony — the
 // in-process stand-in for SIGKILL. Abort poisons the peers exactly the way
 // a dead process's closed sockets would; the extra Close only reaps this
-// process's goroutines so the leak check stays meaningful.
+// process's goroutines so the leak check stays meaningful. Victims sharing a
+// non-nil together group die at the same epoch: each waits for the others to
+// finish stopAfter epochs before aborting, so no victim's last epoch loses a
+// payload still queued by a victim that died first.
 func runVictim(t *testing.T, ds *datagen.Dataset, topo *core.Topology, cfg core.ParallelConfig,
-	rank, world int, cands []string, dir string, every, stopAfter int) {
+	rank, world int, cands []string, dir string, every, stopAfter int, together *sync.WaitGroup) {
 	t.Helper()
 	dataLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -55,6 +59,10 @@ func runVictim(t *testing.T, ds *datagen.Dataset, topo *core.Topology, cfg core.
 				t.Error(err)
 			}
 		}
+	}
+	if together != nil {
+		together.Done()
+		together.Wait()
 	}
 	tp.Abort()
 	tp.Close()
@@ -99,7 +107,7 @@ func TestRunnerRecoversAndReadmitsReplacement(t *testing.T) {
 		r0done <- result{rt, rep, err}
 	}()
 
-	runVictim(t, ds, topo, cfg, 1, world, cands, dir, every, stopAfter)
+	runVictim(t, ds, topo, cfg, 1, world, cands, dir, every, stopAfter, nil)
 
 	// The replacement is started only after the victim is fully gone —
 	// exactly like an operator restarting the dead rank's process.

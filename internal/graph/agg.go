@@ -8,7 +8,8 @@ import (
 // AggIndex is the aggregation plan the sparse SpMM engine runs over one
 // graph: edge-balanced row-chunk boundaries for the forward gather, and the
 // transposed (incoming) CSR index plus its own chunk boundaries for the
-// backward gather dH = Aᵀ·dZ. Building it is O(N+E) integer work — far below
+// backward gather dH = Aᵀ·dZ, and the identity row list the row-list passes
+// slice their ranges from. Building it is O(N+E) integer work — far below
 // one layer's O(E·dim) float aggregation — and all storage is reused across
 // Build calls, so the per-epoch rebuild in the training loop is
 // allocation-free once capacities have warmed up.
@@ -31,6 +32,10 @@ type AggIndex struct {
 	IncSrc    []int32
 	// IncChunks is the edge-balanced boundary list over the transposed index.
 	IncChunks []int32
+	// Ident is the identity row list 0, 1, …, N−1. The layers and kernels
+	// take every row subset as an ascending []int32, so a contiguous range
+	// [lo, hi) is the sub-slice Ident[lo:hi] and a full pass lists Ident.
+	Ident []int32
 
 	fill []int64 // build scratch: per-destination write cursor
 
@@ -83,6 +88,14 @@ func (ai *AggIndex) Build(g *Graph) {
 			cnt[u]++
 		}
 	}
+
+	if cap(ai.Ident) < n {
+		ai.Ident = make([]int32, n)
+		for i := range ai.Ident {
+			ai.Ident[i] = int32(i)
+		}
+	}
+	ai.Ident = ai.Ident[:n] // every entry within capacity is already filled
 
 	target := ChunkTarget(g.Indptr, runtime.GOMAXPROCS(0))
 	ai.Chunks = EdgeChunks(g.Indptr, target, ai.Chunks[:0])

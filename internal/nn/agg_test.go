@@ -11,7 +11,7 @@ import (
 // The sparse-engine contract: the fused, plan-driven layer passes must
 // reproduce the textbook formulation bit for bit — the engine only changes
 // how the edge walks are blocked and parallelized. These tests drive every
-// pass shape (one-shot, chunked forward, staged backward) on the engine and
+// pass shape (full pass, chunked forward, staged backward) on the engine and
 // compare bitwise against the references in reference_test.go, on the same
 // partition-shaped graphs as the chunked-pass tests.
 
@@ -25,7 +25,7 @@ var aggCases = []chunkedCase{
 	{"wide", 31, 11, 6, 23, 13, 0.3},
 }
 
-// TestSAGEAggEngineMatchesConcatReference: one-shot, chunked and staged
+// TestSAGEAggEngineMatchesConcatReference: full, chunked and staged
 // passes on the SpMM engine must reproduce the explicit-concat reference bit
 // for bit.
 func TestSAGEAggEngineMatchesConcatReference(t *testing.T) {
@@ -48,8 +48,8 @@ func TestSAGEAggEngineMatchesConcatReference(t *testing.T) {
 
 		wantOut := ref.Forward(g, h, tc.nIn, invDeg)
 		wantDH := ref.Backward(dOut)
-		gotOut := eng.Forward(g, h, tc.nIn, invDeg)
-		gotDH := eng.Backward(dOut)
+		gotOut := Forward(eng, g, h, tc.nIn, invDeg)
+		gotDH := Backward(eng, dOut)
 		sameBits(t, tc.name+"/forward", gotOut.Data, wantOut.Data)
 		sameBits(t, tc.name+"/backward", gotDH.Data, wantDH.Data)
 		sameBits(t, tc.name+"/DW", eng.DW.Data, ref.DW.Data)
@@ -60,26 +60,23 @@ func TestSAGEAggEngineMatchesConcatReference(t *testing.T) {
 		chk := NewSAGEConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(5))
 		chk.SetAgg(graph.NewAggIndex(g))
 		got := chk.ForwardBegin(g, h, tc.nIn, invDeg)
-		chk.ForwardPrep(0, tc.nIn)
+		chk.ForwardPrep(rowRange(0, tc.nIn))
 		chk.ForwardRows(free)
-		chk.ForwardPrep(tc.nIn, g.N)
+		chk.ForwardPrep(rowRange(tc.nIn, g.N))
 		chk.ForwardRows(dep)
 		sameBits(t, tc.name+"/chunked-forward", got.Data, wantOut.Data)
 		chk.BackwardBegin(dOut)
 		gotStaged := chk.BackwardHalo(dep, slots, tc.nIn)
 		chk.BackwardFinish(free, tc.nIn)
-		inner := make([]int32, tc.nIn)
-		for v := range inner {
-			inner[v] = int32(v)
-		}
-		sameRowsBits(t, tc.name+"/staged-inner", gotStaged, wantDH, inner)
+		sameRowsBits(t, tc.name+"/staged-inner", gotStaged, wantDH, rowRange(0, tc.nIn))
 		sameRowsBits(t, tc.name+"/staged-halo", gotStaged, wantDH, slots)
 		sameBits(t, tc.name+"/staged-DW", chk.DW.Data, ref.DW.Data)
 	}
 }
 
-// TestGATAggEngineMatchesSerialReference: the chunk-parallel attention
-// sweep must reproduce the serial sweep bit for bit.
+// TestGATAggEngineMatchesSerialReference: the full pass (row-list-parallel
+// attention sweep, staged backward) must reproduce the serial sweeps bit
+// for bit.
 func TestGATAggEngineMatchesSerialReference(t *testing.T) {
 	for _, tc := range aggCases {
 		rng := tensor.NewRNG(302)
@@ -93,9 +90,9 @@ func TestGATAggEngineMatchesSerialReference(t *testing.T) {
 		eng.SetAgg(graph.NewAggIndex(g))
 
 		wantOut := gatSerialForward(ref, g, h, tc.nIn)
-		wantDH := ref.Backward(dOut)
-		gotOut := eng.Forward(g, h, tc.nIn)
-		gotDH := eng.Backward(dOut)
+		wantDH := gatSerialBackward(ref, dOut)
+		gotOut := Forward(eng, g, h, tc.nIn, nil)
+		gotDH := Backward(eng, dOut)
 		sameBits(t, tc.name+"/forward", gotOut.Data, wantOut.Data)
 		sameBits(t, tc.name+"/backward", gotDH.Data, wantDH.Data)
 		sameBits(t, tc.name+"/DW", eng.DW.Data, ref.DW.Data)
@@ -161,7 +158,7 @@ func TestSAGEZeroDegreeNodesFullPass(t *testing.T) {
 
 	l := NewSAGEConv(inDim, outDim, ReLUAct, tensor.NewRNG(9))
 	l.SetAgg(graph.NewAggIndex(g))
-	out := l.Forward(g, h, nIn, invDeg)
+	out := Forward(l, g, h, nIn, invDeg)
 	// Isolated node: aggregate half is zero, so out = σ(W₂·h_v + b)
 	// where W₂ is the lower half of W.
 	for _, v := range []int{2, 7} {
@@ -188,15 +185,15 @@ func TestSAGEZeroDegreeNodesFullPass(t *testing.T) {
 	// Finite-difference gradient check of W and the input through the
 	// full masked loss, isolated nodes included in the mask.
 	loss := func() float64 {
-		o := l.Forward(g, h, nIn, invDeg)
+		o := Forward(l, g, h, nIn, invDeg)
 		ls, _ := SoftmaxCrossEntropy(o, labels, mask)
 		return ls
 	}
 	l.ZeroGrad()
-	out = l.Forward(g, h, nIn, invDeg)
+	out = Forward(l, g, h, nIn, invDeg)
 	ls, dOut := SoftmaxCrossEntropy(out, labels, mask)
 	_ = ls
-	dH := l.Backward(dOut)
+	dH := Backward(l, dOut)
 	const eps = 1e-3
 	checkFD := func(name string, param []float32, grad []float32, idx int) {
 		t.Helper()
@@ -244,7 +241,7 @@ func TestGATZeroDegreeNodesFullPass(t *testing.T) {
 
 	l := NewGATConv(inDim, outDim, ReLUAct, tensor.NewRNG(11))
 	l.SetAgg(graph.NewAggIndex(g))
-	out := l.Forward(g, h, nIn)
+	out := Forward(l, g, h, nIn, nil)
 	for _, v := range []int{0, 5} {
 		for j := 0; j < outDim; j++ {
 			var s float32
@@ -261,14 +258,14 @@ func TestGATZeroDegreeNodesFullPass(t *testing.T) {
 	}
 
 	loss := func() float64 {
-		o := l.Forward(g, h, nIn)
+		o := Forward(l, g, h, nIn, nil)
 		ls, _ := SoftmaxCrossEntropy(o, labels, mask)
 		return ls
 	}
 	l.ZeroGrad()
-	out = l.Forward(g, h, nIn)
+	out = Forward(l, g, h, nIn, nil)
 	_, dOut := SoftmaxCrossEntropy(out, labels, mask)
-	dH := l.Backward(dOut)
+	dH := Backward(l, dOut)
 	const eps = 1e-3
 	for _, probe := range []struct {
 		name  string

@@ -8,10 +8,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// The chunked-pass contract behind the pipelined epoch engine: splitting a
+// The schedule contract behind the pipelined epoch engine: splitting a
 // layer's forward into halo-free/halo-dependent row chunks and its backward
-// into the staged halo→finish schedule must reproduce the one-shot passes
-// bit for bit. These tests build partition-shaped local graphs (inner rows
+// into the staged halo→finish schedule must reproduce the references in
+// reference_test.go bit for bit, exactly as the full pass does. These tests build partition-shaped local graphs (inner rows
 // [0,nIn) with neighbors, halo rows [nIn,n) without) on odd/prime shapes,
 // including the two extremes: every row halo-dependent (worst case — zero
 // overlap available) and no halo edges at all.
@@ -115,9 +115,10 @@ var chunkedCases = []chunkedCase{
 	{"wide", 31, 11, 6, 23, 13, 0.3},
 }
 
-// TestSAGEChunkedMatchesOneShot: ForwardBegin/ForwardRows over the halo
-// split and the staged backward must reproduce Forward/Backward exactly.
-func TestSAGEChunkedMatchesOneShot(t *testing.T) {
+// TestSAGESchedulesMatchConcatReference: every pass schedule — the full
+// pass (Forward/Backward) and the halo split (chunked forward, staged
+// backward) — must reproduce the explicit-concat reference exactly.
+func TestSAGESchedulesMatchConcatReference(t *testing.T) {
 	for _, tc := range chunkedCases {
 		rng := tensor.NewRNG(101)
 		g := localGraph(rng, tc.nIn, tc.nBd, tc.deg, tc.haloP)
@@ -131,20 +132,25 @@ func TestSAGEChunkedMatchesOneShot(t *testing.T) {
 		}
 		dOut := randMat(rng, tc.nIn, tc.outDim)
 
-		ref := NewSAGEConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(5))
+		full := NewSAGEConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(5))
 		chk := NewSAGEConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(5))
-		ref.SetAgg(graph.NewAggIndex(g))
+		full.SetAgg(graph.NewAggIndex(g))
 		chk.SetAgg(graph.NewAggIndex(g))
-
+		ref := newSAGERef(full)
 		wantOut := ref.Forward(g, h, tc.nIn, invDeg)
 		wantDH := ref.Backward(dOut)
 
+		sameBits(t, tc.name+"/full/forward", Forward(full, g, h, tc.nIn, invDeg).Data, wantOut.Data)
+		sameBits(t, tc.name+"/full/backward", Backward(full, dOut).Data, wantDH.Data)
+		sameBits(t, tc.name+"/full/DW", full.DW.Data, ref.DW.Data)
+		sameBits(t, tc.name+"/full/DB", full.DB.Data, ref.DB.Data)
+
 		gotOut := chk.ForwardBegin(g, h, tc.nIn, invDeg)
-		chk.ForwardPrep(0, tc.nIn)
+		chk.ForwardPrep(rowRange(0, tc.nIn))
 		chk.ForwardRows(free)
-		chk.ForwardPrep(tc.nIn, g.N)
+		chk.ForwardPrep(rowRange(tc.nIn, g.N))
 		chk.ForwardRows(dep)
-		sameBits(t, tc.name+"/forward", gotOut.Data, wantOut.Data)
+		sameBits(t, tc.name+"/split/forward", gotOut.Data, wantOut.Data)
 
 		chk.BackwardBegin(dOut)
 		gotDH := chk.BackwardHalo(dep, slots, tc.nIn)
@@ -152,20 +158,19 @@ func TestSAGEChunkedMatchesOneShot(t *testing.T) {
 		// Inner rows and referenced halo slots must match; unreferenced halo
 		// rows are zero for SAGE (the accumulator is zeroed) but the engine
 		// never reads them.
-		inner := make([]int32, tc.nIn)
-		for v := range inner {
-			inner[v] = int32(v)
-		}
-		sameRowsBits(t, tc.name+"/backward-inner", gotDH, wantDH, inner)
-		sameRowsBits(t, tc.name+"/backward-halo", gotDH, wantDH, slots)
-		sameBits(t, tc.name+"/DW", chk.DW.Data, ref.DW.Data)
-		sameBits(t, tc.name+"/DB", chk.DB.Data, ref.DB.Data)
+		sameRowsBits(t, tc.name+"/split/backward-inner", gotDH, wantDH, rowRange(0, tc.nIn))
+		sameRowsBits(t, tc.name+"/split/backward-halo", gotDH, wantDH, slots)
+		sameBits(t, tc.name+"/split/DW", chk.DW.Data, ref.DW.Data)
+		sameBits(t, tc.name+"/split/DB", chk.DB.Data, ref.DB.Data)
 	}
 }
 
-// TestGATChunkedMatchesOneShot is the same contract for the attention layer,
-// whose backward sweeps are destination-filtered rather than source-split.
-func TestGATChunkedMatchesOneShot(t *testing.T) {
+// TestGATSchedulesMatchSerialReference is the same contract for the
+// attention layer, whose backward sweeps are destination-filtered rather
+// than source-split, against the node-serial reference sweeps. A third
+// schedule preps the halo slots one row at a time in reverse, as the
+// arrival-order drain does when peers land out of order.
+func TestGATSchedulesMatchSerialReference(t *testing.T) {
 	for _, tc := range chunkedCases {
 		rng := tensor.NewRNG(202)
 		g := localGraph(rng, tc.nIn, tc.nBd, tc.deg, tc.haloP)
@@ -173,33 +178,54 @@ func TestGATChunkedMatchesOneShot(t *testing.T) {
 		h := randMat(rng, g.N, tc.inDim)
 		dOut := randMat(rng, tc.nIn, tc.outDim)
 
-		ref := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
-		chk := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
-		ref.SetAgg(graph.NewAggIndex(g))
-		chk.SetAgg(graph.NewAggIndex(g))
-
-		wantOut := ref.Forward(g, h, tc.nIn)
-		wantDH := ref.Backward(dOut)
-
-		gotOut := chk.ForwardBegin(g, h, tc.nIn)
-		chk.ForwardPrep(0, tc.nIn)
-		chk.ForwardRows(free)
-		chk.ForwardPrep(tc.nIn, g.N)
-		chk.ForwardRows(dep)
-		sameBits(t, tc.name+"/forward", gotOut.Data, wantOut.Data)
-
-		chk.BackwardBegin(dOut)
-		gotDH := chk.BackwardHalo(dep, slots, tc.nIn)
-		chk.BackwardFinish(free, tc.nIn)
-		inner := make([]int32, tc.nIn)
-		for v := range inner {
-			inner[v] = int32(v)
+		newLayer := func() *GATConv {
+			l := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
+			l.SetAgg(graph.NewAggIndex(g))
+			return l
 		}
-		sameRowsBits(t, tc.name+"/backward-inner", gotDH, wantDH, inner)
-		sameRowsBits(t, tc.name+"/backward-halo", gotDH, wantDH, slots)
-		sameBits(t, tc.name+"/DW", chk.DW.Data, ref.DW.Data)
-		sameBits(t, tc.name+"/DA1", chk.DA1.Data, ref.DA1.Data)
-		sameBits(t, tc.name+"/DA2", chk.DA2.Data, ref.DA2.Data)
+		ref := newLayer()
+		wantOut := gatSerialForward(ref, g, h, tc.nIn)
+		wantDH := gatSerialBackward(ref, dOut)
+		sameParams := func(name string, l *GATConv) {
+			t.Helper()
+			sameBits(t, name+"/DW", l.DW.Data, ref.DW.Data)
+			sameBits(t, name+"/DA1", l.DA1.Data, ref.DA1.Data)
+			sameBits(t, name+"/DA2", l.DA2.Data, ref.DA2.Data)
+		}
+
+		full := newLayer()
+		sameBits(t, tc.name+"/full/forward", Forward(full, g, h, tc.nIn, nil).Data, wantOut.Data)
+		sameBits(t, tc.name+"/full/backward", Backward(full, dOut).Data, wantDH.Data)
+		sameParams(tc.name+"/full", full)
+
+		for _, arrival := range []bool{false, true} {
+			name := tc.name + "/split"
+			if arrival {
+				name = tc.name + "/arrival"
+			}
+			chk := newLayer()
+			gotOut := chk.ForwardBegin(g, h, tc.nIn, nil)
+			chk.ForwardPrep(rowRange(0, tc.nIn))
+			chk.ForwardRows(free)
+			if arrival {
+				// Only the referenced halo slots, in reversed single-row
+				// batches: the order peers land in is arbitrary.
+				for i := len(slots) - 1; i >= 0; i-- {
+					chk.ForwardPrep(slots[i : i+1])
+				}
+			} else {
+				chk.ForwardPrep(rowRange(tc.nIn, g.N))
+			}
+			chk.ForwardRows(dep)
+			sameBits(t, name+"/forward", gotOut.Data, wantOut.Data)
+
+			chk.BackwardBegin(dOut)
+			gotDH := chk.BackwardHalo(dep, slots, tc.nIn)
+			chk.BackwardFinish(free, tc.nIn)
+			sameRowsBits(t, name+"/backward-inner", gotDH, wantDH, rowRange(0, tc.nIn))
+			sameRowsBits(t, name+"/backward-halo", gotDH, wantDH, slots)
+			sameParams(name, chk)
+		}
 	}
 }
 
@@ -271,37 +297,4 @@ func TestDropoutMaskApplySplitMatchesForwardRows(t *testing.T) {
 	}
 	chk.MaskRows(0, rows)
 	chk.ApplyMaskedRows([]int32{0, 1})
-}
-
-// TestGATForwardPrepRowsMatchesRange: per-row-list prep must reproduce the
-// range form bit for bit in any duplicate-free cover order, so the
-// arrival-order drain can prep one peer's halo slots as they land.
-func TestGATForwardPrepRowsMatchesRange(t *testing.T) {
-	for _, tc := range chunkedCases {
-		rng := tensor.NewRNG(77)
-		g := localGraph(rng, tc.nIn, tc.nBd, tc.deg, tc.haloP)
-		h := randMat(rng, g.N, tc.inDim)
-		free, dep, slots := splitHalo(g, tc.nIn)
-
-		ref := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(5))
-		chk := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(5))
-		ref.SetAgg(graph.NewAggIndex(g))
-		chk.SetAgg(graph.NewAggIndex(g))
-
-		want := ref.ForwardBegin(g, h, tc.nIn)
-		ref.ForwardPrep(0, g.N)
-		ref.ForwardRows(free)
-		ref.ForwardRows(dep)
-
-		got := chk.ForwardBegin(g, h, tc.nIn)
-		chk.ForwardPrep(0, tc.nIn)
-		chk.ForwardRows(free)
-		// Prep the referenced halo slots in reversed per-row batches (the
-		// arrival order is arbitrary), then complete the dependent rows.
-		for i := len(slots) - 1; i >= 0; i-- {
-			chk.ForwardPrepRows(slots[i : i+1])
-		}
-		chk.ForwardRows(dep)
-		sameBits(t, tc.name+"/gat-prep-rows", got.Data, want.Data)
-	}
 }

@@ -17,8 +17,10 @@ import (
 //	z_v  = σ( Σ_u α_vu (W h_u) )
 //
 // Self-attention is always included so isolated nodes still produce output.
-// Every pass needs the aggregation plan of the graph it runs over (SetAgg);
-// a pass with no plan installed panics.
+// The layer exposes only the staged passes of GraphConv; Forward and
+// Backward run a whole pass through them. Every pass needs the aggregation
+// plan of the graph it runs over (SetAgg); a pass with no plan installed
+// panics.
 type GATConv struct {
 	InDim, OutDim int
 	Act           Activation
@@ -31,11 +33,12 @@ type GATConv struct {
 	DA1 *tensor.Matrix
 	DA2 *tensor.Matrix
 
-	// agg provides the edge-balanced chunk index the one-shot Forward
-	// parallelizes its per-node attention sweep over (output rows are fully
-	// independent, so chunk scheduling cannot change bits). The backward
-	// keeps its node-serial sweep: its dWh/da1/da2 accumulations are
-	// order-sensitive across nodes.
+	// agg is the aggregation plan of the graph the passes run over; GAT
+	// reads its chunk index and identity row list. The forward's per-node
+	// attention sweep parallelizes over chunk splits of its row list (output
+	// rows are fully independent, so scheduling cannot change bits); the
+	// backward keeps its node-serial sweep, because its dWh/da1/da2
+	// accumulations are order-sensitive across nodes.
 	agg *graph.AggIndex
 
 	// Caches.
@@ -85,39 +88,30 @@ func (l *GATConv) Grads() []*tensor.Matrix { return []*tensor.Matrix{l.DW, l.DA1
 // ZeroGrad implements Layer.
 func (l *GATConv) ZeroGrad() { zeroGradAll(l.Grads()) }
 
-// SetAgg installs the aggregation plan for subsequent passes (GAT uses only
-// its chunk index). ai must be built from the same graph the passes receive.
+// InputDim implements GraphConv.
+func (l *GATConv) InputDim() int { return l.InDim }
+
+// OutputDim implements GraphConv.
+func (l *GATConv) OutputDim() int { return l.OutDim }
+
+// passRows implements GraphConv.
+func (l *GATConv) passRows() []int32 { return l.agg.Ident[:l.nAll] }
+
+// SetAgg installs the aggregation plan for subsequent passes (GAT uses its
+// chunk index and identity row list). ai must be built from the same graph
+// the passes receive.
 func (l *GATConv) SetAgg(ai *graph.AggIndex) { l.agg = ai }
 
-// Forward computes attention outputs for the first nOut rows of h. The
-// per-node sweep runs chunk-parallel over the plan's chunks: forwardNode
-// writes only node-owned state (the node's flat alpha/raw segment and its
-// pre/out rows) and reads only the shared prep arrays, so any chunk
-// schedule produces the serial sweep's bits.
-func (l *GATConv) Forward(g *graph.Graph, h *tensor.Matrix, nOut int) *tensor.Matrix {
-	out := l.ForwardBegin(g, h, nOut)
-	l.ForwardPrep(0, h.Rows)
-	chunks := l.agg.Chunks
-	tensor.ParallelChunks(len(chunks)-1, func(c int) {
-		lo, hi := int(chunks[c]), int(chunks[c+1])
-		if hi > nOut {
-			hi = nOut
-		}
-		for v := lo; v < hi; v++ {
-			l.forwardNode(v)
-		}
-	})
-	return out
-}
-
-// ForwardBegin starts a chunked forward pass: it validates shapes, installs
-// the backward caches, and returns the output matrix whose rows ForwardRows
+// ForwardBegin starts a forward pass: it validates shapes, installs the
+// backward caches, and returns the output matrix whose rows ForwardRows
 // will fill. ForwardPrep must cover a node's feature row before any output
 // row that attends to it runs. Chunking cannot change results — every output
 // row is produced by the same per-node computation in the same flat buffer
-// slot — so any duplicate-free partition of [0, nOut) reproduces Forward bit
-// for bit; the chunked-pass property tests pin this.
-func (l *GATConv) ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int) *tensor.Matrix {
+// slot — so any duplicate-free partition of [0, nOut) reproduces the full
+// pass (Forward) bit for bit; the schedule property tests pin this against
+// the serial reference. Attention normalizes by softmax, so the degree
+// normalizer is unused.
+func (l *GATConv) ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int, _ []float32) *tensor.Matrix {
 	if h.Cols != l.InDim {
 		panic(fmt.Sprintf("nn: GATConv input dim %d, want %d", h.Cols, l.InDim))
 	}
@@ -143,25 +137,11 @@ func (l *GATConv) ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int) *tens
 	return ensureMat(&l.out, nOut, l.OutDim)
 }
 
-// ForwardPrep computes Wh and the attention scores s1/s2 for feature rows
-// [r0, r1). Rows are independent, so ranges may run in any order; each row
-// must be covered exactly once per pass.
-func (l *GATConv) ForwardPrep(r0, r1 int) {
-	tensor.MatMulRange(l.wh, l.h, l.W, r0, r1)
-	a1 := l.A1.Row(0)
-	a2 := l.A2.Row(0)
-	for u := r0; u < r1; u++ {
-		l.s1[u] = tensor.Dot(a1, l.wh.Row(u))
-		l.s2[u] = tensor.Dot(a2, l.wh.Row(u))
-	}
-}
-
-// ForwardPrepRows is ForwardPrep for an explicit row list: the arrival-order
-// drain preps exactly one peer's halo slots the moment that peer's payload
-// lands. Per row it runs the same kernels as the range form
-// (tensor.MatMulRows reproduces MatMulRange row for row), so any
-// duplicate-free cover of the rows a pass reads is bit-identical.
-func (l *GATConv) ForwardPrepRows(rows []int32) {
+// ForwardPrep computes Wh and the attention scores s1/s2 for the listed
+// feature rows. Rows are independent, so lists may run in any order — the
+// arrival-order drain preps one peer's halo slots the moment that peer's
+// payload lands; each row must be covered exactly once per pass.
+func (l *GATConv) ForwardPrep(rows []int32) {
 	tensor.MatMulRows(l.wh, l.h, l.W, rows)
 	a1 := l.A1.Row(0)
 	a2 := l.A2.Row(0)
@@ -172,32 +152,18 @@ func (l *GATConv) ForwardPrepRows(rows []int32) {
 	}
 }
 
-// forwardRowsSeg is the segment size ForwardRows hands to pool workers.
-// Any list longer than one segment parallelizes — typically the halo-free
-// bucket, but also a large per-peer drain bucket; both are safe because
-// every input row a listed output row reads is in place before the call
-// and rows write disjoint state.
-const forwardRowsSeg = 64
-
-// ForwardRows computes the output rows listed in rows (each row of [0, nOut)
-// must appear exactly once across all calls of one pass). Rows are
-// independent (see Forward), so large lists — the pipelined engine's
-// halo-free bucket — run segment-parallel with unchanged bits.
+// ForwardRows computes the output rows listed in rows, ascending (each row
+// of [0, nOut) must appear exactly once across all calls of one pass). Rows
+// are independent (see forwardNode), so a list runs in parallel pieces
+// split at the plan's edge-balanced chunk boundaries with unchanged bits —
+// a full pass, the pipelined engine's halo-free bucket, or one peer's
+// unlocked rows alike.
 func (l *GATConv) ForwardRows(rows []int32) {
-	if len(rows) > forwardRowsSeg && tensor.Parallelism() > 1 {
-		nSeg := (len(rows) + forwardRowsSeg - 1) / forwardRowsSeg
-		tensor.ParallelChunks(nSeg, func(c int) {
-			lo := c * forwardRowsSeg
-			hi := lo + forwardRowsSeg
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			for _, v := range rows[lo:hi] {
-				l.forwardNode(int(v))
-			}
-		})
-		return
-	}
+	tensor.ParallelRowChunks(rows, l.agg.Chunks, l.forwardList)
+}
+
+// forwardList runs forwardNode over a row list.
+func (l *GATConv) forwardList(rows []int32) {
 	for _, v := range rows {
 		l.forwardNode(int(v))
 	}
@@ -259,27 +225,14 @@ func (l *GATConv) forwardNode(v int) {
 	activationRow(l.out.Row(v), l.Act, row)
 }
 
-// Backward accumulates parameter gradients and returns the gradient with
-// respect to the full input matrix (nAll × InDim).
-func (l *GATConv) Backward(dOut *tensor.Matrix) *tensor.Matrix {
-	l.BackwardBegin(dOut)
-	for v := 0; v < l.nOut; v++ {
-		l.backwardNode(v, 0, l.nAll, true)
-	}
-	l.backwardParams()
-	dH := l.dH
-	tensor.MatMulTransB(dH, l.dWh, l.W)
-	return dH
-}
-
 // BackwardBegin starts a staged backward pass: it computes the
 // pre-activation gradient for every output row and zeroes the Wh-gradient
 // and attention-vector accumulators. The staged schedule (BackwardBegin →
-// BackwardHalo → BackwardFinish) reproduces the one-shot Backward bit for
-// bit: halo rows of dWh receive contributions only from outputs with a halo
+// BackwardHalo → BackwardFinish) is bit-identical whatever the halo split:
+// halo rows of dWh receive contributions only from outputs with a halo
 // neighbor, sweeps are destination-filtered so every += lands on each
-// destination row (and on da1/da2) in exactly the order of the unsplit
-// sweep, and the dH matmuls are per-row stable.
+// destination row (and on da1/da2) in exactly the order of one unfiltered
+// node-serial sweep, and the dH matmuls are per-row stable.
 func (l *GATConv) BackwardBegin(dOut *tensor.Matrix) {
 	if dOut.Rows != l.nOut || dOut.Cols != l.OutDim {
 		panic(fmt.Sprintf("nn: GATConv backward shape %dx%d, want %dx%d", dOut.Rows, dOut.Cols, l.nOut, l.OutDim))
@@ -322,7 +275,7 @@ func (l *GATConv) BackwardFinish(freeSrc []int32, nIn int) *tensor.Matrix {
 		l.backwardNode(v, 0, nIn, true)
 	}
 	l.backwardParams()
-	tensor.MatMulTransBRange(l.dH, l.dWh, l.W, 0, nIn)
+	tensor.MatMulTransBRows(l.dH, l.dWh, l.W, l.agg.Ident[:nIn])
 	return l.dH
 }
 

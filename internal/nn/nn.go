@@ -30,30 +30,6 @@ const (
 	ReLUAct
 )
 
-func applyActivation(a Activation, pre *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(pre.Rows, pre.Cols)
-	applyActivationInto(out, a, pre)
-	return out
-}
-
-// applyActivationInto writes act(pre) into dst, overwriting every element.
-func applyActivationInto(dst *tensor.Matrix, a Activation, pre *tensor.Matrix) {
-	switch a {
-	case NoAct:
-		copy(dst.Data, pre.Data)
-	case ReLUAct:
-		for i, v := range pre.Data {
-			if v < 0 {
-				dst.Data[i] = 0
-			} else {
-				dst.Data[i] = v
-			}
-		}
-	default:
-		panic(fmt.Sprintf("nn: unknown activation %d", a))
-	}
-}
-
 // ensureMat returns a rows×cols matrix stored at *buf, reusing the existing
 // storage when its capacity suffices. Contents are UNDEFINED; callers must
 // fully overwrite or explicitly zero. This is how layers keep per-call
@@ -92,8 +68,7 @@ func ensureF32(buf *[]float32, n int) []float32 {
 	return s
 }
 
-// activationRow writes act(pre) into one row slice; elementwise, so
-// bit-identical to applyActivationInto restricted to that row.
+// activationRow writes act(pre) into one row slice.
 func activationRow(dst []float32, a Activation, pre []float32) {
 	switch a {
 	case NoAct:
@@ -112,27 +87,11 @@ func activationRow(dst []float32, a Activation, pre []float32) {
 }
 
 // activationRows writes act(pre) into dst for the given rows only. The
-// activations are elementwise, so per-row application is bit-identical to
-// applyActivationInto restricted to those rows.
+// activations are elementwise, so any row list produces the bits of one
+// whole-matrix pass.
 func activationRows(dst *tensor.Matrix, a Activation, pre *tensor.Matrix, rows []int32) {
-	switch a {
-	case NoAct:
-		for _, v := range rows {
-			copy(dst.Row(int(v)), pre.Row(int(v)))
-		}
-	case ReLUAct:
-		for _, v := range rows {
-			drow := dst.Row(int(v))
-			for j, x := range pre.Row(int(v)) {
-				if x < 0 {
-					drow[j] = 0
-				} else {
-					drow[j] = x
-				}
-			}
-		}
-	default:
-		panic(fmt.Sprintf("nn: unknown activation %d", a))
+	for _, v := range rows {
+		activationRow(dst.Row(int(v)), a, pre.Row(int(v)))
 	}
 }
 
@@ -159,6 +118,91 @@ type Layer interface {
 	Grads() []*tensor.Matrix
 	// ZeroGrad clears all gradients.
 	ZeroGrad()
+}
+
+// GraphConv is the pass API of the graph layers (SAGEConv, GATConv). A pass
+// runs in stages over ascending, duplicate-free row lists, so the pipelined
+// epoch engine can overlap halo exchange with halo-independent compute:
+//
+//   - ForwardBegin → ForwardPrep/ForwardRows: rows whose aggregation reads no
+//     halo slot can run while boundary features are in flight; the remaining
+//     rows run on arrival. Any duplicate-free row partition is bit-identical.
+//   - BackwardBegin → BackwardHalo → BackwardFinish: halo-row input gradients
+//     complete first (so they can be sent), then parameter gradients and the
+//     inner rows while the peer gradients are in flight. Every halo split is
+//     bit-identical.
+//
+// A full pass is the no-halo case of the same stages: Forward and Backward
+// run it. Contiguous row ranges are sub-slices of the plan's identity list
+// (graph.AggIndex.Ident).
+type GraphConv interface {
+	Layer
+
+	// SetAgg installs the aggregation plan (graph.AggIndex: the transposed
+	// index, edge-balanced chunk boundaries and the identity row list) the
+	// layer's passes run over. The plan must be built from the same graph
+	// the passes receive; trainers rebuild it whenever the graph changes.
+	// Every pass needs one: a pass with no plan installed panics.
+	SetAgg(ai *graph.AggIndex)
+
+	// ForwardBegin prepares a pass producing outputs for rows [0, nOut) of
+	// h over g (whose node space matches h's rows), and returns the output
+	// matrix the ForwardRows calls will fill. invDeg[v] is the normalizer
+	// of node v's neighbor sum (unused by attention).
+	ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []float32) *tensor.Matrix
+	// ForwardPrep runs per-node precomputations for the listed feature rows
+	// (a no-op for SAGE; Wh and attention scores for GAT); each input row
+	// exactly once per pass, before any output row that reads it.
+	ForwardPrep(rows []int32)
+	// ForwardRows computes the listed output rows; each row of [0, nOut)
+	// must be covered exactly once per pass.
+	ForwardRows(rows []int32)
+
+	// BackwardBegin computes the pre-activation gradients for dOut and
+	// resets the pass accumulators.
+	BackwardBegin(dOut *tensor.Matrix)
+	// BackwardHalo completes the halo rows of the input gradient: haloSrc
+	// lists every output row with a neighbor ≥ nIn, haloSlots the halo rows
+	// whose gradients are needed. Rows < nIn of the returned matrix are
+	// valid only after BackwardFinish.
+	BackwardHalo(haloSrc, haloSlots []int32, nIn int) *tensor.Matrix
+	// BackwardFinish accumulates parameter gradients and completes rows
+	// [0, nIn); freeSrc lists the output rows not in haloSrc.
+	BackwardFinish(freeSrc []int32, nIn int) *tensor.Matrix
+
+	InputDim() int
+	OutputDim() int
+
+	// passRows returns the identity list over the current pass's input
+	// rows [0, h.Rows).
+	passRows() []int32
+}
+
+// Forward runs l's full forward pass: outputs for the first nOut rows of h,
+// every input row prepped first. The returned matrix is owned by the layer
+// and valid until its next pass.
+func Forward(l GraphConv, g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []float32) *tensor.Matrix {
+	out := l.ForwardBegin(g, h, nOut, invDeg)
+	all := l.passRows()
+	l.ForwardPrep(all)
+	l.ForwardRows(all[:nOut])
+	return out
+}
+
+// Backward consumes dOut (nOut × OutputDim) for l's last Forward,
+// accumulates the parameter gradients, and returns the gradient with
+// respect to the full input matrix, halo rows included. The halo stage runs
+// only when the pass has halo rows (rows ≥ nOut); otherwise the finish
+// stage covers every output row. The returned matrix is owned by the layer
+// and valid until its next pass.
+func Backward(l GraphConv, dOut *tensor.Matrix) *tensor.Matrix {
+	l.BackwardBegin(dOut)
+	all, nOut := l.passRows(), dOut.Rows
+	if len(all) == nOut {
+		return l.BackwardFinish(all, nOut)
+	}
+	l.BackwardHalo(all[:nOut], all[nOut:], nOut)
+	return l.BackwardFinish(nil, nOut)
 }
 
 // zeroGradAll clears each gradient matrix.

@@ -27,11 +27,12 @@ func randGraph(rng *tensor.RNG, n, edges int) *graph.Graph {
 
 func TestReLUForwardBackward(t *testing.T) {
 	pre := tensor.NewFrom(1, 4, []float32{-1, 0, 2, -3})
-	out := applyActivation(ReLUAct, pre)
+	out := make([]float32, 4)
+	activationRow(out, ReLUAct, pre.Data)
 	want := []float32{0, 0, 2, 0}
 	for i, w := range want {
-		if out.Data[i] != w {
-			t.Fatalf("relu[%d] = %v", i, out.Data[i])
+		if out[i] != w {
+			t.Fatalf("relu[%d] = %v", i, out[i])
 		}
 	}
 	d := tensor.NewFrom(1, 4, []float32{1, 1, 1, 1})
@@ -179,7 +180,7 @@ func TestLossEmptyMask(t *testing.T) {
 
 // sageLoss runs a 1-layer SAGE + CE loss; used for finite-difference checks.
 func sageLoss(l *SAGEConv, g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []float32, labels []int32, mask []bool) float64 {
-	out := l.Forward(g, h, nOut, invDeg)
+	out := Forward(l, g, h, nOut, invDeg)
 	loss, _ := SoftmaxCrossEntropy(out, labels, mask)
 	return loss
 }
@@ -196,10 +197,10 @@ func TestSAGEConvGradientCheck(t *testing.T) {
 	labels := []int32{0, 1, 2, 3, 0, 1}
 	mask := []bool{true, true, true, false, true, true}
 
-	out := l.Forward(g, h, nOut, invDeg)
+	out := Forward(l, g, h, nOut, invDeg)
 	_, dOut := SoftmaxCrossEntropy(out, labels, mask)
 	l.ZeroGrad()
-	dH := l.Backward(dOut)
+	dH := Backward(l, dOut)
 
 	const eps = 1e-2
 	check := func(name string, param *tensor.Matrix, grad *tensor.Matrix, stride int) {
@@ -232,14 +233,14 @@ func TestSAGEConvHaloRowsGetGradient(t *testing.T) {
 	tensor.GaussianInit(h, 1, rng)
 	l := NewSAGEConv(2, 2, NoAct, rng)
 	l.SetAgg(graph.NewAggIndex(g))
-	out := l.Forward(g, h, 2, InvDegrees(g))
+	out := Forward(l, g, h, 2, InvDegrees(g))
 	if out.Rows != 2 {
 		t.Fatalf("out rows %d", out.Rows)
 	}
 	dOut := tensor.New(2, 2)
 	dOut.Fill(1)
 	l.ZeroGrad()
-	dH := l.Backward(dOut)
+	dH := Backward(l, dOut)
 	if dH.Rows != 3 {
 		t.Fatalf("dH rows %d, want 3 (including halo)", dH.Rows)
 	}
@@ -268,7 +269,7 @@ func TestSAGEConvMeanAggregation(t *testing.T) {
 	l.B.Zero()
 	l.W.Set(0, 0, 1) // z[0] -> out[0]
 	l.W.Set(1, 1, 1) // z[1] -> out[1]
-	out := l.Forward(g, h, 5, InvDegrees(g))
+	out := Forward(l, g, h, 5, InvDegrees(g))
 	// Node 2 neighbors {1,3}: mean = (1+3)/2 = 2 in dim0, 1 in dim1.
 	if math.Abs(float64(out.At(2, 0)-2)) > 1e-6 || math.Abs(float64(out.At(2, 1)-1)) > 1e-6 {
 		t.Fatalf("node 2 aggregation = (%v,%v), want (2,1)", out.At(2, 0), out.At(2, 1))
@@ -288,14 +289,14 @@ func TestSAGEConvIsolatedNodeZeroAggregate(t *testing.T) {
 	l.SetAgg(graph.NewAggIndex(g))
 	l.W.Zero()
 	l.W.Set(0, 0, 1)
-	out := l.Forward(g, h, 2, InvDegrees(g))
+	out := Forward(l, g, h, 2, InvDegrees(g))
 	if out.At(0, 0) != 0 {
 		t.Fatalf("isolated node aggregate = %v, want 0", out.At(0, 0))
 	}
 }
 
 func gatLoss(l *GATConv, g *graph.Graph, h *tensor.Matrix, nOut int, labels []int32, mask []bool) float64 {
-	out := l.Forward(g, h, nOut)
+	out := Forward(l, g, h, nOut, nil)
 	loss, _ := SoftmaxCrossEntropy(out, labels, mask)
 	return loss
 }
@@ -311,10 +312,10 @@ func TestGATConvGradientCheck(t *testing.T) {
 	labels := []int32{0, 1, 2, 3, 0}
 	mask := []bool{true, true, false, true, true}
 
-	out := l.Forward(g, h, nOut)
+	out := Forward(l, g, h, nOut, nil)
 	_, dOut := SoftmaxCrossEntropy(out, labels, mask)
 	l.ZeroGrad()
-	dH := l.Backward(dOut)
+	dH := Backward(l, dOut)
 
 	const eps = 1e-2
 	check := func(name string, param, grad *tensor.Matrix, stride int) {
@@ -344,7 +345,7 @@ func TestGATAttentionSumsToOne(t *testing.T) {
 	tensor.GaussianInit(h, 1, rng)
 	l := NewGATConv(4, 4, NoAct, rng)
 	l.SetAgg(graph.NewAggIndex(g))
-	l.Forward(g, h, 10)
+	Forward(l, g, h, 10, nil)
 	for v, alpha := range l.alpha {
 		var s float64
 		for _, a := range alpha {

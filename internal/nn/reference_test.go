@@ -41,7 +41,9 @@ func (r *sageRef) Forward(g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []f
 	for v := 0; v < nOut; v++ {
 		tensor.AddTo(r.pre.Row(v), r.l.B.Row(0))
 	}
-	return applyActivation(r.l.Act, r.pre)
+	out := tensor.New(nOut, r.l.OutDim)
+	activationRows(out, r.l.Act, r.pre, rowRange(0, nOut))
+	return out
 }
 
 func (r *sageRef) Backward(dOut *tensor.Matrix) *tensor.Matrix {
@@ -55,7 +57,7 @@ func (r *sageRef) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 		tensor.AddTo(r.DB.Row(0), dPre.Row(v))
 	}
 	dConcat := tensor.New(r.nOut, 2*in)
-	tensor.MatMulTransB(dConcat, dPre, r.l.W)
+	tensor.MatMulTransBRows(dConcat, dPre, r.l.W, rowRange(0, r.nOut))
 	dH := tensor.New(r.nAll, in)
 	for v := 0; v < r.nOut; v++ {
 		copy(dH.Row(v), dConcat.Row(v)[in:])
@@ -81,15 +83,39 @@ func dropHaloAdjacency(g *graph.Graph, nOut int) *graph.Graph {
 }
 
 // gatSerialForward is the GAT reference forward: the per-node attention
-// sweep in ascending node order on the calling goroutine, which the
-// chunk-parallel Forward must reproduce bit for bit.
+// sweep in ascending node order on the calling goroutine, which every
+// schedule of ForwardRows must reproduce bit for bit.
 func gatSerialForward(l *GATConv, g *graph.Graph, h *tensor.Matrix, nOut int) *tensor.Matrix {
-	out := l.ForwardBegin(g, h, nOut)
-	l.ForwardPrep(0, h.Rows)
+	out := l.ForwardBegin(g, h, nOut, nil)
+	l.ForwardPrep(rowRange(0, h.Rows))
 	for v := 0; v < nOut; v++ {
 		l.forwardNode(v)
 	}
 	return out
+}
+
+// gatSerialBackward is the GAT reference backward for the last
+// gatSerialForward: one unfiltered node-serial sweep in ascending node order
+// (every destination row of dWh, halo rows included, and da1/da2), then the
+// parameter fold and the input gradient of every row. Every halo split of
+// the staged backward must reproduce it bit for bit.
+func gatSerialBackward(l *GATConv, dOut *tensor.Matrix) *tensor.Matrix {
+	l.BackwardBegin(dOut)
+	for v := 0; v < l.nOut; v++ {
+		l.backwardNode(v, 0, l.nAll, true)
+	}
+	l.backwardParams()
+	tensor.MatMulTransBRows(l.dH, l.dWh, l.W, rowRange(0, l.nAll))
+	return l.dH
+}
+
+// rowRange lists the rows [lo, hi) in ascending order.
+func rowRange(lo, hi int) []int32 {
+	rows := make([]int32, 0, hi-lo)
+	for v := lo; v < hi; v++ {
+		rows = append(rows, int32(v))
+	}
+	return rows
 }
 
 // TestLayerPassWithoutPlanPanics: a pass with no aggregation plan installed
@@ -102,10 +128,8 @@ func TestLayerPassWithoutPlanPanics(t *testing.T) {
 	sage := NewSAGEConv(3, 2, ReLUAct, rng)
 	gat := NewGATConv(3, 2, ReLUAct, rng)
 	for name, pass := range map[string]func(){
-		"SAGEConv.Forward":      func() { sage.Forward(g, h, g.N, InvDegrees(g)) },
 		"SAGEConv.ForwardBegin": func() { sage.ForwardBegin(g, h, g.N, InvDegrees(g)) },
-		"GATConv.Forward":       func() { gat.Forward(g, h, g.N) },
-		"GATConv.ForwardBegin":  func() { gat.ForwardBegin(g, h, g.N) },
+		"GATConv.ForwardBegin":  func() { gat.ForwardBegin(g, h, g.N, nil) },
 	} {
 		msg := panicMessage(pass)
 		if msg == "" {

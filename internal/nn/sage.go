@@ -20,7 +20,7 @@ import (
 // (Section 3.2).
 //
 // Aggregation runs on the FUSED aggregate-project engine
-// (tensor.SpMMMatMul and the MatMulTrans*Split family): the forward gathers
+// (tensor.SpMMMatMulRows and the MatMulTrans*Split family): the forward gathers
 // each aggregated row z_v and feeds it to the projection FMAs while still
 // cache-hot — the nOut × 2·InDim concat matrix of the textbook formulation
 // is never materialized, eliminating its three DRAM round-trips (SpMM write,
@@ -38,8 +38,10 @@ import (
 // aggregation property tests compare every pass against that reference,
 // and the fused kernel tests pin the kernels).
 //
-// Every pass needs the aggregation plan of the graph it runs over
-// (SetAgg); a pass with no plan installed panics.
+// The layer exposes only the staged passes of GraphConv; Forward and
+// Backward run a whole pass through them. Every pass needs the aggregation
+// plan of the graph it runs over (SetAgg); a pass with no plan installed
+// panics.
 type SAGEConv struct {
 	InDim, OutDim int
 	Act           Activation
@@ -92,12 +94,21 @@ func (l *SAGEConv) Grads() []*tensor.Matrix { return []*tensor.Matrix{l.DW, l.DB
 // ZeroGrad implements Layer.
 func (l *SAGEConv) ZeroGrad() { zeroGradAll(l.Grads()) }
 
+// InputDim implements GraphConv.
+func (l *SAGEConv) InputDim() int { return l.InDim }
+
+// OutputDim implements GraphConv.
+func (l *SAGEConv) OutputDim() int { return l.OutDim }
+
+// passRows implements GraphConv.
+func (l *SAGEConv) passRows() []int32 { return l.agg.Ident[:l.nAll] }
+
 // SetAgg installs the aggregation plan for subsequent passes. ai must be
 // built from the same graph the passes receive (trainers rebuild the plan
 // whenever the epoch graph changes).
 func (l *SAGEConv) SetAgg(ai *graph.AggIndex) { l.agg = ai }
 
-// checkForward validates the shared Forward/ForwardBegin contract.
+// checkForward validates the ForwardBegin contract.
 func (l *SAGEConv) checkForward(g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []float32) {
 	if h.Cols != l.InDim {
 		panic(fmt.Sprintf("nn: SAGEConv input dim %d, want %d", h.Cols, l.InDim))
@@ -125,36 +136,13 @@ func (l *SAGEConv) fusedChunks() []int32 {
 	return l.agg.ChunksFor(int64(2 * l.OutDim))
 }
 
-// Forward computes outputs for the first nOut rows of h, aggregating over g
-// (whose node space matches h's rows). invDeg[v] is the normalizer for node
-// v's neighbor sum; len(invDeg) >= nOut.
-func (l *SAGEConv) Forward(g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []float32) *tensor.Matrix {
-	l.checkForward(g, h, nOut, invDeg)
-	l.g, l.nOut, l.nAll, l.invDeg, l.hIn = g, nOut, h.Rows, invDeg, h
-
-	// pre = [diag(invDeg)·A·h | h]·W with no concat matrix;
-	// z_v = invDeg[v]·Σ_{u∈N(v)} h_u is kept for the backward's dW.
-	pre := ensureMat(&l.pre, nOut, l.OutDim)
-	z := ensureMat(&l.z, nOut, l.InDim)
-	tensor.SpMMMatMul(pre, z, h, l.W, g.Indptr, g.Indices, invDeg, l.fusedChunks())
-	for v := 0; v < nOut; v++ {
-		row := pre.Row(v)
-		for j, b := range l.B.Row(0) {
-			row[j] += b
-		}
-	}
-	out := ensureMat(&l.out, nOut, l.OutDim)
-	applyActivationInto(out, l.Act, pre)
-	return out
-}
-
-// ForwardBegin starts a chunked forward pass: it validates shapes, installs
-// the backward caches, and returns the output matrix whose rows ForwardRows
+// ForwardBegin starts a forward pass: it validates shapes, installs the
+// backward caches, and returns the output matrix whose rows ForwardRows
 // will fill. Chunking cannot change results — every output row is computed
-// with exactly the per-row arithmetic of the one-shot Forward (see
-// tensor.SpMMMatMulRows) and rows are independent — so any
-// duplicate-free partition of [0, nOut) reproduces Forward bit for bit; the
-// chunked-pass property tests pin this.
+// by the same per-row arithmetic whatever list it arrives in (see
+// tensor.SpMMMatMulRows) and rows are independent — so any duplicate-free
+// partition of [0, nOut) reproduces the full pass (Forward) bit for bit; the
+// schedule property tests pin this against the textbook reference.
 func (l *SAGEConv) ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []float32) *tensor.Matrix {
 	l.checkForward(g, h, nOut, invDeg)
 	l.g, l.nOut, l.nAll, l.invDeg, l.hIn = g, nOut, h.Rows, invDeg, h
@@ -163,21 +151,17 @@ func (l *SAGEConv) ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int, invD
 	return ensureMat(&l.out, nOut, l.OutDim)
 }
 
-// ForwardPrep computes per-node precomputations for feature rows [r0, r1).
-// SAGE has none; GAT uses it for Wh and the attention scores.
-func (l *SAGEConv) ForwardPrep(r0, r1 int) {}
+// ForwardPrep computes per-node precomputations for the listed feature
+// rows. SAGE has none; GAT uses it for Wh and the attention scores.
+func (l *SAGEConv) ForwardPrep(rows []int32) {}
 
-// ForwardPrepRows is ForwardPrep for an explicit row list (the arrival-order
-// drain preps one peer's halo slots as they land). SAGE has none.
-func (l *SAGEConv) ForwardPrepRows(rows []int32) {}
-
-// ForwardRows computes the output rows listed in rows (each row of [0, nOut)
-// must appear exactly once across all calls of one pass). A row may be
-// computed as soon as the feature rows of its neighbors are in place — the
-// pipelined engine runs halo-independent rows while boundary features are
-// still in flight.
+// ForwardRows computes the output rows listed in rows, ascending (each row
+// of [0, nOut) must appear exactly once across all calls of one pass). A row
+// may be computed as soon as the feature rows of its neighbors are in place —
+// the pipelined engine runs halo-independent rows while boundary features
+// are still in flight.
 func (l *SAGEConv) ForwardRows(rows []int32) {
-	tensor.SpMMMatMulRows(l.pre, l.z, l.hIn, l.W, l.g.Indptr, l.g.Indices, l.invDeg, rows)
+	tensor.SpMMMatMulRows(l.pre, l.z, l.hIn, l.W, l.g.Indptr, l.g.Indices, l.invDeg, l.fusedChunks(), rows)
 	for _, v32 := range rows {
 		row := l.pre.Row(int(v32))
 		for j, b := range l.B.Row(0) {
@@ -187,66 +171,15 @@ func (l *SAGEConv) ForwardRows(rows []int32) {
 	activationRows(l.out, l.Act, l.pre, rows)
 }
 
-// addNeighborGrads accumulates the neighbor term of the input gradient for
-// every destination row in [destLo, destHi): dH.Row(u) += Σ invDeg[v]·dz_v
-// over the sources v with u ∈ N(v), in ascending source order — a parallel
-// gather over the plan's transposed index.
-func (l *SAGEConv) addNeighborGrads(destLo, destHi int) {
-	tensor.SpMMTransRange(l.dH, l.dz, l.agg.IncIndptr, l.agg.IncSrc, l.invDeg, l.agg.IncChunks, destLo, destHi)
-}
-
-// Backward consumes dOut (nOut × OutDim), accumulates DW/DB, and returns the
-// gradient with respect to the full input feature matrix (nAll × InDim),
-// including halo rows. The returned matrix is layer-owned scratch, valid
-// until the next Backward.
-func (l *SAGEConv) Backward(dOut *tensor.Matrix) *tensor.Matrix {
-	if dOut.Rows != l.nOut || dOut.Cols != l.OutDim {
-		panic(fmt.Sprintf("nn: SAGEConv backward shape %dx%d, want %dx%d", dOut.Rows, dOut.Cols, l.nOut, l.OutDim))
-	}
-	dPre := ensureMat(&l.dPre, dOut.Rows, dOut.Cols)
-	copy(dPre.Data, dOut.Data)
-	activationGrad(l.Act, dPre, l.pre)
-
-	// Parameter gradients, reading the concat operand's halves in place
-	// ([z|h]) — bit-identical to MatMulTransA over an explicit concat.
-	dW := ensureMat(&l.dWScratch, 2*l.InDim, l.OutDim)
-	tensor.MatMulTransASplit(dW, l.z, l.hIn, dPre)
-	l.DW.Add(dW)
-	for v := 0; v < l.nOut; v++ {
-		tensor.AddTo(l.DB.Row(0), dPre.Row(v))
-	}
-
-	// Input gradients: self terms first (an overwrite of the accumulator
-	// row), then the neighbor gather in ascending source order. One fused
-	// sweep writes dz and the self terms; every row < nOut is fully
-	// overwritten by the split writes, so only the remaining rows need
-	// zeroing before the gather accumulates.
-	dH := ensureMat(&l.dH, l.nAll, l.InDim)
-	dz := ensureMat(&l.dz, l.nOut, l.InDim)
-	l.zeroDHTail()
-	tensor.MatMulTransBSplit(dz, dH, dPre, l.W)
-	l.addNeighborGrads(0, l.nAll)
-	return dH
-}
-
-// zeroDHTail zeroes the input-gradient rows the fused backward sweep does not
-// overwrite: [nOut, nAll) — halo rows and any non-output inner rows — which
-// only ever receive gather accumulations.
-func (l *SAGEConv) zeroDHTail() {
-	tail := l.dH.Data[l.nOut*l.InDim:]
-	for i := range tail {
-		tail[i] = 0
-	}
-}
-
 // BackwardBegin starts a staged backward pass: it computes the
 // pre-activation gradient for every output row and zeroes the input-gradient
 // accumulator. The staged schedule (BackwardBegin → BackwardHalo →
-// BackwardFinish) reproduces the one-shot Backward bit for bit: a halo row
-// of the input gradient receives contributions only from outputs with a halo
+// BackwardFinish) is bit-identical whatever the halo split: a halo row of
+// the input gradient receives contributions only from outputs with a halo
 // neighbor (ascending, like the full gather), and an inner row only from the
 // finish sweep (self copy, then ascending sources), so every accumulation
-// lands on each destination row in exactly the order of the unsplit pass.
+// lands on each destination row in exactly the order of the textbook
+// explicit-concat backward.
 func (l *SAGEConv) BackwardBegin(dOut *tensor.Matrix) {
 	if dOut.Rows != l.nOut || dOut.Cols != l.OutDim {
 		panic(fmt.Sprintf("nn: SAGEConv backward shape %dx%d, want %dx%d", dOut.Rows, dOut.Cols, l.nOut, l.OutDim))
@@ -254,12 +187,13 @@ func (l *SAGEConv) BackwardBegin(dOut *tensor.Matrix) {
 	dPre := ensureMat(&l.dPre, dOut.Rows, dOut.Cols)
 	copy(dPre.Data, dOut.Data)
 	activationGrad(l.Act, dPre, l.pre)
-	ensureMat(&l.dH, l.nAll, l.InDim)
+	dH := ensureMat(&l.dH, l.nAll, l.InDim)
 	ensureMat(&l.dz, l.nOut, l.InDim) // rows filled stage by stage
 	// The halo/finish split writes overwrite every dH row < nOut exactly
 	// once (haloSrc ∪ freeSrc covers [0,nOut)) before any gather lands on
-	// it, so only the tail rows need zeroing.
-	l.zeroDHTail()
+	// it, so only the tail rows [nOut, nAll) — halo rows, which only ever
+	// receive gather accumulations — need zeroing.
+	clear(dH.Data[l.nOut*l.InDim:])
 }
 
 // BackwardHalo completes the halo rows [nIn, nAll) of the input gradient so
@@ -275,13 +209,14 @@ func (l *SAGEConv) BackwardHalo(haloSrc, haloSlots []int32, nIn int) *tensor.Mat
 	// in haloSrc — its dz row was just computed — so the row gather over the
 	// transposed index is complete and in ascending order.
 	tensor.MatMulTransBSplitRows(l.dz, l.dH, l.dPre, l.W, haloSrc)
-	tensor.SpMMTransRows(l.dH, l.dz, l.agg.IncIndptr, l.agg.IncSrc, l.invDeg, haloSlots)
+	tensor.SpMMTransRows(l.dH, l.dz, l.agg.IncIndptr, l.agg.IncSrc, l.invDeg, l.agg.IncChunks, haloSlots)
 	return l.dH
 }
 
 // BackwardFinish accumulates DW/DB and completes the inner rows [0, nIn) of
 // the input gradient. freeSrc must list, ascending, every output row not in
-// BackwardHalo's haloSrc; together they cover [0, nOut) exactly once.
+// BackwardHalo's haloSrc; together they cover [0, nOut) exactly once (a pass
+// with no halo rows skips BackwardHalo and lists every output row here).
 func (l *SAGEConv) BackwardFinish(freeSrc []int32, nIn int) *tensor.Matrix {
 	dW := ensureMat(&l.dWScratch, 2*l.InDim, l.OutDim)
 	tensor.MatMulTransASplit(dW, l.z, l.hIn, l.dPre)
@@ -293,7 +228,10 @@ func (l *SAGEConv) BackwardFinish(freeSrc []int32, nIn int) *tensor.Matrix {
 	// sweep covers the rest, completing [0, nOut) exactly once before the
 	// inner-row gather accumulates.
 	tensor.MatMulTransBSplitRows(l.dz, l.dH, l.dPre, l.W, freeSrc)
-	l.addNeighborGrads(0, nIn)
+	// The inner rows' neighbor term: dH.Row(u) += Σ invDeg[v]·dz_v over the
+	// sources v with u ∈ N(v), in ascending source order — a parallel gather
+	// over the plan's transposed index.
+	tensor.SpMMTransRows(l.dH, l.dz, l.agg.IncIndptr, l.agg.IncSrc, l.invDeg, l.agg.IncChunks, l.agg.Ident[:nIn])
 	return l.dH
 }
 

@@ -13,8 +13,8 @@ import (
 // catches errors that single-layer checks cannot (e.g. wrong dH row ranges
 // between layers).
 func stackLoss(l1, l2 *SAGEConv, g *graph.Graph, h *tensor.Matrix, labels []int32, mask []bool, invDeg []float32) float64 {
-	h1 := l1.Forward(g, h, g.N, invDeg)
-	h2 := l2.Forward(g, h1, g.N, invDeg)
+	h1 := Forward(l1, g, h, g.N, invDeg)
+	h2 := Forward(l2, g, h1, g.N, invDeg)
 	loss, _ := SoftmaxCrossEntropy(h2, labels, mask)
 	return loss
 }
@@ -35,13 +35,13 @@ func TestTwoLayerStackGradientCheck(t *testing.T) {
 	}
 	invDeg := InvDegrees(g)
 
-	h1 := l1.Forward(g, h, g.N, invDeg)
-	h2 := l2.Forward(g, h1, g.N, invDeg)
+	h1 := Forward(l1, g, h, g.N, invDeg)
+	h2 := Forward(l2, g, h1, g.N, invDeg)
 	_, dOut := SoftmaxCrossEntropy(h2, labels, mask)
 	l1.ZeroGrad()
 	l2.ZeroGrad()
-	d1 := l2.Backward(dOut)
-	_ = l1.Backward(d1)
+	d1 := Backward(l2, dOut)
+	_ = Backward(l1, d1)
 
 	const eps = 1e-2
 	check := func(name string, param, grad *tensor.Matrix, stride int) {
@@ -72,13 +72,13 @@ func TestGradAccumulationAcrossBackwardCalls(t *testing.T) {
 	tensor.GaussianInit(h, 1, rng)
 	l := NewSAGEConv(3, 2, NoAct, rng)
 	l.SetAgg(graph.NewAggIndex(g))
-	out := l.Forward(g, h, 6, InvDegrees(g))
+	out := Forward(l, g, h, 6, InvDegrees(g))
 	dOut := tensor.New(out.Rows, out.Cols)
 	dOut.Fill(1)
 	l.ZeroGrad()
-	l.Backward(dOut)
+	Backward(l, dOut)
 	once := l.DW.Clone()
-	l.Backward(dOut)
+	Backward(l, dOut)
 	twice := l.DW.Clone()
 	once.Scale(2)
 	if !once.Equal(twice, 1e-5) {
@@ -117,11 +117,11 @@ func TestSAGEConvRejectsBadShapes(t *testing.T) {
 	l := NewSAGEConv(3, 2, NoAct, rng)
 	l.SetAgg(graph.NewAggIndex(g))
 	cases := []func(){
-		func() { l.Forward(g, tensor.New(4, 5), 4, make([]float32, 4)) },           // wrong dim
-		func() { l.Forward(g, tensor.New(5, 3), 5, make([]float32, 5)) },           // rows != g.N
-		func() { l.Forward(g, tensor.New(4, 3), 5, make([]float32, 5)) },           // nOut > rows
-		func() { l.Forward(g, tensor.New(4, 3), 4, make([]float32, 2)) },           // short invDeg
-		func() { l.Forward(lineGraph(), tensor.New(5, 3), 3, make([]float32, 5)) }, // halo rows with edges
+		func() { Forward(l, g, tensor.New(4, 5), 4, make([]float32, 4)) },           // wrong dim
+		func() { Forward(l, g, tensor.New(5, 3), 5, make([]float32, 5)) },           // rows != g.N
+		func() { Forward(l, g, tensor.New(4, 3), 5, make([]float32, 5)) },           // nOut > rows
+		func() { Forward(l, g, tensor.New(4, 3), 4, make([]float32, 2)) },           // short invDeg
+		func() { Forward(l, lineGraph(), tensor.New(5, 3), 3, make([]float32, 5)) }, // halo rows with edges
 	}
 	for i, fn := range cases {
 		func() {
@@ -145,7 +145,7 @@ func TestGATConvRejectsBadShapes(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	l.Forward(g, tensor.New(4, 5), 4)
+	Forward(l, g, tensor.New(4, 5), 4, nil)
 }
 
 func TestUnflattenRejectsWrongLength(t *testing.T) {

@@ -2,12 +2,13 @@
 // node-classification service. The training side of the repo computes
 // full-graph passes; serving inverts the access pattern — many small queries
 // against a mostly-static graph — so the engine precomputes every hidden
-// layer once at startup, keeps the final layer's chunked pass permanently
-// open, and answers each query batch with one row-subset pass over exactly
-// the requested logit rows, riding the same tensor.SpMMMatMulRows/MatMulRows
-// kernels the pipelined trainer uses. Because those row passes are pinned
-// bit-identical to the one-shot Forward, a served logit row equals the
-// FullTrainer.Forward(false) row for the same checkpoint, bit for bit.
+// layer once at startup, keeps the final layer's staged pass permanently
+// open, and answers each query batch with one row-list pass over exactly
+// the requested logit rows (sorted ascending, as every row list is), riding
+// the same layer stages and tensor.SpMMMatMulRows/MatMulRows kernels the
+// trainers use. A full pass is the all-rows list of those same stages, so a
+// served logit row equals the FullTrainer.Forward(false) row for the same
+// checkpoint, bit for bit.
 //
 // Feature updates do not recompute the graph: an incremental pass re-embeds
 // only the changed node's receptive field — the frontier grows one
@@ -17,7 +18,7 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -123,9 +124,9 @@ func NewEngine(model *core.Model, g *graph.Graph, feats *tensor.Matrix, cacheSiz
 
 	// Startup pass: exactly FullTrainer.Forward(false) — dropout is identity
 	// at inference, so the stack reduces to the layer forwards. Hidden
-	// layers run one-shot and are mirrored; the final layer's pass is left
-	// open (ForwardBegin + full prep) so ForwardRows can fill any logit row
-	// on demand.
+	// layers run a full pass and are mirrored; the final layer's pass is
+	// left open (ForwardBegin + full prep) so ForwardRows can fill any logit
+	// row on demand.
 	L := len(model.LayersL)
 	e.acts = make([]*tensor.Matrix, L)
 	e.outs = make([]*tensor.Matrix, L)
@@ -140,7 +141,7 @@ func NewEngine(model *core.Model, g *graph.Graph, feats *tensor.Matrix, cacheSiz
 	}
 	final := model.LayersL[L-1]
 	e.outs[L-1] = final.ForwardBegin(g, e.acts[L-1], g.N, e.invDeg)
-	final.ForwardPrep(0, g.N)
+	final.ForwardPrep(e.agg.Ident)
 	return e, nil
 }
 
@@ -195,6 +196,9 @@ func (e *Engine) Predict(nodes []int32) ([][]float32, error) {
 		}
 	}
 	if len(miss) > 0 {
+		// Row lists are ascending: the kernels split them at the plan's
+		// chunk boundaries.
+		slices.Sort(miss)
 		final := e.model.LayersL[len(e.model.LayersL)-1]
 		final.ForwardRows(miss)
 		out := e.outs[len(e.outs)-1]
@@ -230,7 +234,7 @@ func (e *Engine) affected(changed []int32) []int32 {
 			add(v)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -258,7 +262,7 @@ func (e *Engine) UpdateFeature(node int32, feat []float32) (int, error) {
 		// Refresh per-input-row precomputations for the rows that changed
 		// (GAT's Wh and attention scores; a no-op for SAGE) before any
 		// output row that attends to them is recomputed.
-		layer.ForwardPrepRows(changed)
+		layer.ForwardPrep(changed)
 		rows := e.affected(changed)
 		if l < L-1 {
 			layer.ForwardRows(rows)

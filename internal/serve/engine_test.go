@@ -55,8 +55,9 @@ func rowsEqual(a []float32, b []float32) bool {
 }
 
 // TestPredictMatchesFullTrainer is the serving bit-identity contract: every
-// logit row the engine serves — cache miss or hit, any batch split — equals
-// the FullTrainer.Forward(false) row for the same weights, bit for bit.
+// logit row the engine serves — cache miss or hit, any batch split or
+// request order — equals the FullTrainer.Forward(false) row for the same
+// weights, bit for bit.
 func TestPredictMatchesFullTrainer(t *testing.T) {
 	for _, tc := range []struct {
 		arch   core.Arch
@@ -79,7 +80,14 @@ func TestPredictMatchesFullTrainer(t *testing.T) {
 			for v := 0; v < ds.G.N; v++ {
 				nodes = append(nodes, int32(v))
 			}
-			for _, batch := range [][]int32{nodes[:7], nodes[5:100], {3, 3, 9}, nodes} {
+			// A batch of never-requested nodes in descending order: more
+			// misses than the kernels run inline, so the engine must sort
+			// them into the ascending list the chunk-split claims need.
+			var desc []int32
+			for v := ds.G.N - 1; v >= 200; v-- {
+				desc = append(desc, int32(v))
+			}
+			for _, batch := range [][]int32{nodes[:7], nodes[5:100], {3, 3, 9}, desc, nodes} {
 				rows, err := eng.Predict(batch)
 				if err != nil {
 					t.Fatal(err)

@@ -1,6 +1,10 @@
 package tensor
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/graph"
+)
 
 func benchMatrices(n, k, m int) (*Matrix, *Matrix, *Matrix) {
 	rng := NewRNG(1)
@@ -30,16 +34,19 @@ func BenchmarkMatMul1024(b *testing.B) { benchMatMulSquare(b, 1024) }
 // exact name, so `-bench=BenchmarkMatMul$` selects it alone.
 func BenchmarkMatMul(b *testing.B) { benchMatMulSquare(b, 512) }
 
+// BenchmarkMatMulTransB measures out = a·bᵀ as the layers run it: the
+// row-list kernel over the full identity list.
 func BenchmarkMatMulTransB(b *testing.B) {
 	rng := NewRNG(2)
 	a := randomMatrix(rng, 512, 512)
 	c := randomMatrix(rng, 512, 512)
 	out := New(512, 512)
+	rows := allRows(512)
 	b.SetBytes(512 * 512 * 512 * 2 * 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulTransB(out, a, c)
+		MatMulTransBRows(out, a, c, rows)
 	}
 }
 
@@ -134,12 +141,20 @@ func BenchmarkSpMMHighDeg(b *testing.B)       { benchSpMM(b, 2048, 256, 64, true
 // so `-bench=BenchmarkSpMM$` selects it alone.
 func BenchmarkSpMM(b *testing.B) { benchSpMM(b, 2048, 256, 64, true) }
 
-// benchSpMMTrans measures the backward gather against the scatter-shaped
+// benchCSRChunks is the edge-balanced chunk list graph.AggIndex builds for
+// a CSR at the current pool width.
+func benchCSRChunks(indptr []int64) []int32 {
+	return graph.EdgeChunks(indptr, graph.ChunkTarget(indptr, maxProcs), nil)
+}
+
+// benchSpMMTrans measures the backward gather — the row-list kernel over the
+// full identity list with the plan's chunks — against the scatter-shaped
 // reference it replaces.
 func benchSpMMTrans(b *testing.B, n, deg, dim int, engine bool) {
 	rng := NewRNG(43)
 	indptr, indices := benchCSR(rng, n, deg)
 	tIndptr, tSrc := transposeCSR(n, indptr, indices, n)
+	chunks, rows := benchCSRChunks(tIndptr), allRows(n)
 	src := randomMatrix(rng, n, dim)
 	scale := make([]float32, n)
 	for i := range scale {
@@ -151,7 +166,7 @@ func benchSpMMTrans(b *testing.B, n, deg, dim int, engine bool) {
 	for i := 0; i < b.N; i++ {
 		dst.Zero()
 		if engine {
-			SpMMTrans(dst, src, tIndptr, tSrc, scale, nil)
+			SpMMTransRows(dst, src, tIndptr, tSrc, scale, chunks, rows)
 		} else {
 			refSpMMTrans(dst, src, indptr, indices, scale, n)
 		}
@@ -162,13 +177,15 @@ func BenchmarkSpMMTransHighDegScalar(b *testing.B) { benchSpMMTrans(b, 2048, 256
 func BenchmarkSpMMTransHighDeg(b *testing.B)       { benchSpMMTrans(b, 2048, 256, 64, true) }
 
 // benchAggProj measures the SAGE forward hot pair — aggregate then project —
-// fused (SpMMMatMul, no concat ever written) against the unfused pipeline
+// fused (SpMMMatMulRows over the full identity list with the plan's chunks,
+// no concat ever written) against the unfused pipeline
 // (SpMM into the concat's left half, the self-copy pass, MatMul over the
 // concat). Bytes = FLOPs·4 (aggregation adds + projection multiply-adds), so
 // MB/s comparisons are FLOP-rate comparisons across the two variants.
 func benchAggProj(b *testing.B, n, deg, in, out int, fused bool) {
 	rng := NewRNG(44)
 	indptr, indices := benchCSR(rng, n, deg)
+	chunks, rows := benchCSRChunks(indptr), allRows(n)
 	h := randomMatrix(rng, n, in)
 	w := randomMatrix(rng, 2*in, out)
 	scale := make([]float32, n)
@@ -184,7 +201,7 @@ func benchAggProj(b *testing.B, n, deg, in, out int, fused bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if fused {
-			SpMMMatMul(pre, z, h, w, indptr, indices, scale, nil)
+			SpMMMatMulRows(pre, z, h, w, indptr, indices, scale, chunks, rows)
 		} else {
 			SpMM(concat, h, indptr, indices, scale, nil)
 			for r := 0; r < n; r++ {
@@ -200,9 +217,10 @@ func BenchmarkAggProjHighDegFused(b *testing.B)   { benchAggProj(b, 2048, 256, 6
 func BenchmarkAggProjLowDegUnfused(b *testing.B)  { benchAggProj(b, 4096, 8, 64, 64, false) }
 func BenchmarkAggProjLowDegFused(b *testing.B)    { benchAggProj(b, 4096, 8, 64, 64, true) }
 
-// benchBackwardSplit measures the backward concat sweep: fused
-// (MatMulTransBSplit writing dz and the self gradient in one pass) against
-// MatMulTransB into dConcat plus the split-copy pass.
+// benchBackwardSplit measures the backward concat sweep over the full
+// identity list: fused (MatMulTransBSplitRows writing dz and the self
+// gradient in one pass) against MatMulTransBRows into dConcat plus the
+// split-copy pass.
 func benchBackwardSplit(b *testing.B, n, in, out int, fused bool) {
 	rng := NewRNG(45)
 	dPre := randomMatrix(rng, n, out)
@@ -210,14 +228,15 @@ func benchBackwardSplit(b *testing.B, n, in, out int, fused bool) {
 	dz := New(n, in)
 	dSelf := New(n, in)
 	dConcat := New(n, 2*in)
+	rows := allRows(n)
 	b.SetBytes(2 * int64(n) * int64(2*in) * int64(out) * 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if fused {
-			MatMulTransBSplit(dz, dSelf, dPre, w)
+			MatMulTransBSplitRows(dz, dSelf, dPre, w, rows)
 		} else {
-			MatMulTransB(dConcat, dPre, w)
+			MatMulTransBRows(dConcat, dPre, w, rows)
 			for r := 0; r < n; r++ {
 				copy(dz.Row(r), dConcat.Row(r)[:in])
 				copy(dSelf.Row(r), dConcat.Row(r)[in:])

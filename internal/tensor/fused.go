@@ -25,18 +25,21 @@ import (
 // z/h boundary, so axpy4 groupings are unchanged even when in % 4 != 0 — the
 // same all-four-zero coefficient skip, and the same scalar-tail Axpy with
 // zero skip. The aggregation into z is spmmRow itself. Rows are independent,
-// so every partition of the row space (chunks, grains, row lists) is
-// bit-identical in any execution order, exactly like SpMM/MatMul. The fused
-// property tests pin fused ≡ SpMM+copy+MatMul bitwise on odd/prime widths,
-// zero/mega-degree rows, random row partitions, and the forced-parallel path.
+// so every partition of the row space (chunks, row lists) is bit-identical
+// in any execution order, exactly like SpMM/MatMul. The fused property tests
+// pin fused ≡ SpMM+copy+MatMul bitwise on odd/prime widths, zero/mega-degree
+// rows, random row partitions, and the forced-parallel path.
 //
+// Every kernel takes an explicit row list: a full pass lists every row (the
+// identity list graph.AggIndex keeps), a pipelined chunk lists its subset.
 // The backward is fused symmetrically:
 //
-//	MatMulTransBSplit  — dConcat = dPre·wᵀ with the left half written to dz
-//	                     and the right half (the self term) written straight
-//	                     into the input-gradient rows, one sweep, no dConcat.
-//	MatMulTransASplit  — dW = [z|h]ᵀ·dPre reading the two operand halves in
-//	                     place.
+//	MatMulTransBSplitRows — dConcat = dPre·wᵀ with the left half written to
+//	                        dz and the right half (the self term) written
+//	                        straight into the input-gradient rows, one
+//	                        sweep, no dConcat.
+//	MatMulTransASplit     — dW = [z|h]ᵀ·dPre reading the two operand halves
+//	                        in place.
 
 // fusedRowBlock is the gather/project interleave depth: within one claim the
 // kernel aggregates this many z rows, then projects them while they are still
@@ -67,75 +70,33 @@ func checkFused(name string, pre, z, h, w *Matrix, indptr []int64, scale []float
 	}
 }
 
-// SpMMMatMul computes, for every row r in [0, pre.Rows):
+// SpMMMatMulRows computes, for every row r listed in rows:
 //
 //	z.Row(r)   = scale[r] · Σ_{e ∈ CSR row r} h.Row(indices[e])
 //	pre.Row(r) = [z.Row(r) | h.Row(r)] · w
 //
-// i.e. pre = [diag(scale)·A·h | h]·w with the concat fused away. z must be
-// pre.Rows × h.Cols (the caller keeps it for the backward's dW); w is
-// (2·h.Cols) × pre.Cols. chunks, when non-nil, is an edge-balanced row-chunk
-// boundary list — use graph.AggIndex.ChunksFor with the projection's per-row
-// cost so wide layers stay balanced — with the same contract as SpMM's.
-// Bit-identical per row to SpMM + self-copy + MatMul over the concat.
-func SpMMMatMul(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale []float32, chunks []int32) {
-	checkFused("SpMMMatMul", pre, z, h, w, indptr, scale)
-	if chunks == nil || maxProcs == 1 {
-		spmmMatMulRange(pre, z, h, w, indptr, indices, scale, 0, pre.Rows)
-		return
-	}
-	nr := pre.Rows
-	ParallelChunks(len(chunks)-1, func(c int) {
-		lo, hi := int(chunks[c]), int(chunks[c+1])
-		if hi > nr {
-			hi = nr
-		}
-		if lo < hi {
-			spmmMatMulSeg(pre, z, h, w, indptr, indices, scale, lo, hi)
-		}
-	})
-}
-
-func spmmMatMulRange(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale []float32, lo, hi int) {
-	if hi-lo <= spmmGrain || maxProcs == 1 { // skip the closure: it would escape
-		spmmMatMulSeg(pre, z, h, w, indptr, indices, scale, lo, hi)
-		return
-	}
-	parallelGrain(hi-lo, spmmGrain, func(l, r int) {
-		spmmMatMulSeg(pre, z, h, w, indptr, indices, scale, lo+l, lo+r)
-	})
-}
-
-// spmmMatMulSeg runs the fused pass over the contiguous rows [lo,hi):
-// fusedRowBlock rows are aggregated into z, then projected while hot.
-func spmmMatMulSeg(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale []float32, lo, hi int) {
-	for b := lo; b < hi; b += fusedRowBlock {
-		bh := b + fusedRowBlock
-		if bh > hi {
-			bh = hi
-		}
-		for r := b; r < bh; r++ {
-			spmmRow(z, h, indptr, indices, scale, r)
-		}
-		fusedProjectRange(pre, z, h, w, b, bh)
-	}
-}
-
-// SpMMMatMulRows computes the listed rows of SpMMMatMul, leaving all other
-// rows untouched. rows must be in-range and duplicate-free; order is
-// irrelevant. This is the row-subset entry the pipelined epoch engine's
-// halo-free and per-peer buckets drive (mirroring MatMulRows).
-func SpMMMatMulRows(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale []float32, rows []int32) {
+// i.e. rows of pre = [diag(scale)·A·h | h]·w with the concat fused away,
+// leaving all other rows untouched. z must be as wide as h (the caller keeps
+// it for the backward's dW); w is (2·h.Cols) × pre.Cols. rows must be
+// ascending and duplicate-free; a full pass lists every row. chunks is an
+// edge-balanced row-chunk boundary list over the same CSR (use
+// graph.AggIndex.ChunksFor with the projection's per-row cost so wide layers
+// stay balanced): each pool claim takes the part of rows inside one chunk.
+// nil chunks runs the list on the calling goroutine. Bit-identical per row
+// to SpMM + self-copy + MatMul over the concat.
+func SpMMMatMulRows(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale []float32, chunks, rows []int32) {
 	checkFused("SpMMMatMulRows", pre, z, h, w, indptr, scale)
-	if len(rows) <= spmmGrain || maxProcs == 1 { // skip the closure: it would escape
+	if rowsInline("SpMMMatMulRows", rows, chunks) {
 		spmmMatMulRowsSeg(pre, z, h, w, indptr, indices, scale, rows)
 		return
 	}
-	parallelGrain(len(rows), spmmGrain, func(l, r int) {
-		spmmMatMulRowsSeg(pre, z, h, w, indptr, indices, scale, rows[l:r])
+	parallelRowChunks(rows, chunks, func(sub []int32) {
+		spmmMatMulRowsSeg(pre, z, h, w, indptr, indices, scale, sub)
 	})
 }
 
+// spmmMatMulRowsSeg runs the fused pass over a row list: fusedRowBlock rows
+// are aggregated into z, then projected while hot.
 func spmmMatMulRowsSeg(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale []float32, rows []int32) {
 	for s := 0; s < len(rows); s += fusedRowBlock {
 		e := s + fusedRowBlock
@@ -150,75 +111,14 @@ func spmmMatMulRowsSeg(pre, z, h, w *Matrix, indptr []int64, indices []int32, sc
 	}
 }
 
-// fusedProjectRange computes pre rows [lo,hi) over the virtual concat [z|h]
-// with matMulTile's exact per-row operation sequence: kk panels of four over
-// the FULL 2·in width (never restarted at the z/h boundary), the identical
-// all-four-zero skip, and the identical scalar tail. Coefficient kk of row i
-// reads z when kk < in, h when kk ≥ in.
-func fusedProjectRange(pre, z, h, w *Matrix, lo, hi int) {
-	in := z.Cols
-	k, m := 2*in, w.Cols
-	wd, zd, hd := w.Data, z.Data, h.Data
-	pd := pre.Data
-	for i := lo; i < hi; i++ {
-		orow := pd[i*m : i*m+m]
-		for j := range orow {
-			orow[j] = 0
-		}
-	}
-	kk := 0
-	for ; kk+4 <= k; kk += 4 {
-		b0 := wd[kk*m : kk*m+m]
-		b1 := wd[(kk+1)*m : (kk+1)*m+m]
-		b2 := wd[(kk+2)*m : (kk+2)*m+m]
-		b3 := wd[(kk+3)*m : (kk+3)*m+m]
-		switch {
-		case kk+4 <= in: // aggregation-half panel: coefficients from z
-			for i := lo; i < hi; i++ {
-				arow := zd[i*in+kk : i*in+kk+4]
-				a0, a1, a2, a3 := arow[0], arow[1], arow[2], arow[3]
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue // zero-degree row panel
-				}
-				axpy4(pd[i*m:i*m+m], b0, b1, b2, b3, a0, a1, a2, a3)
-			}
-		case kk >= in: // self-half panel: coefficients from h
-			off := kk - in
-			for i := lo; i < hi; i++ {
-				arow := hd[i*in+off : i*in+off+4]
-				a0, a1, a2, a3 := arow[0], arow[1], arow[2], arow[3]
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue // dropout-sparse input panel
-				}
-				axpy4(pd[i*m:i*m+m], b0, b1, b2, b3, a0, a1, a2, a3)
-			}
-		default: // panel straddles the boundary (in % 4 != 0)
-			for i := lo; i < hi; i++ {
-				a0 := concatCoef(zd, hd, in, i, kk)
-				a1 := concatCoef(zd, hd, in, i, kk+1)
-				a2 := concatCoef(zd, hd, in, i, kk+2)
-				a3 := concatCoef(zd, hd, in, i, kk+3)
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				axpy4(pd[i*m:i*m+m], b0, b1, b2, b3, a0, a1, a2, a3)
-			}
-		}
-	}
-	for ; kk < k; kk++ {
-		brow := wd[kk*m : kk*m+m]
-		for i := lo; i < hi; i++ {
-			av := concatCoef(zd, hd, in, i, kk)
-			if av == 0 {
-				continue
-			}
-			Axpy(pd[i*m:i*m+m], brow, av)
-		}
-	}
-}
-
-// fusedProjectRows is fusedProjectRange iterating an explicit row list
-// (matMulRowsSeg's shape); the w-panel reuse across the row set is preserved.
+// fusedProjectRows computes the listed pre rows over the virtual concat
+// [z|h] with matMulTile's exact per-row operation sequence: kk panels of four
+// over the FULL 2·in width (never restarted at the z/h boundary), the
+// identical all-four-zero skip, and the identical scalar tail. Coefficient
+// kk of row i reads z when kk < in, h when kk ≥ in; panels wholly on one
+// side read their four coefficients straight from that row, and only a
+// panel straddling the boundary (in % 4 != 0) resolves each one. The
+// w-panel reuse across the row set is matMulRowsSeg's.
 func fusedProjectRows(pre, z, h, w *Matrix, rows []int32) {
 	in := z.Cols
 	k, m := 2*in, w.Cols
@@ -236,16 +136,40 @@ func fusedProjectRows(pre, z, h, w *Matrix, rows []int32) {
 		b1 := wd[(kk+1)*m : (kk+1)*m+m]
 		b2 := wd[(kk+2)*m : (kk+2)*m+m]
 		b3 := wd[(kk+3)*m : (kk+3)*m+m]
-		for _, v := range rows {
-			i := int(v)
-			a0 := concatCoef(zd, hd, in, i, kk)
-			a1 := concatCoef(zd, hd, in, i, kk+1)
-			a2 := concatCoef(zd, hd, in, i, kk+2)
-			a3 := concatCoef(zd, hd, in, i, kk+3)
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
+		switch {
+		case kk+4 <= in: // aggregation-half panel: coefficients from z
+			for _, v := range rows {
+				i := int(v)
+				arow := zd[i*in+kk : i*in+kk+4]
+				a0, a1, a2, a3 := arow[0], arow[1], arow[2], arow[3]
+				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+					continue // zero-degree row panel
+				}
+				axpy4(pd[i*m:i*m+m], b0, b1, b2, b3, a0, a1, a2, a3)
 			}
-			axpy4(pd[i*m:i*m+m], b0, b1, b2, b3, a0, a1, a2, a3)
+		case kk >= in: // self-half panel: coefficients from h
+			off := kk - in
+			for _, v := range rows {
+				i := int(v)
+				arow := hd[i*in+off : i*in+off+4]
+				a0, a1, a2, a3 := arow[0], arow[1], arow[2], arow[3]
+				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+					continue // dropout-sparse input panel
+				}
+				axpy4(pd[i*m:i*m+m], b0, b1, b2, b3, a0, a1, a2, a3)
+			}
+		default: // panel straddles the boundary (in % 4 != 0)
+			for _, v := range rows {
+				i := int(v)
+				a0 := concatCoef(zd, hd, in, i, kk)
+				a1 := concatCoef(zd, hd, in, i, kk+1)
+				a2 := concatCoef(zd, hd, in, i, kk+2)
+				a3 := concatCoef(zd, hd, in, i, kk+3)
+				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+					continue
+				}
+				axpy4(pd[i*m:i*m+m], b0, b1, b2, b3, a0, a1, a2, a3)
+			}
 		}
 	}
 	for ; kk < k; kk++ {
@@ -285,52 +209,15 @@ func checkSplitB(name string, dz, dSelf, dPre, w *Matrix) {
 	}
 }
 
-// MatMulTransBSplit computes, for every row v in [0, dPre.Rows), the row
+// MatMulTransBSplitRows computes, for every row v listed in rows, the row
 // dPre.Row(v)·wᵀ of the concat gradient — writing its left half (the
 // aggregation gradient dz_v) to dz.Row(v) and its right half (the self term)
 // straight into dSelf.Row(v), which it OVERWRITES. One sweep replaces the
-// unfused MatMulTransB-into-dConcat plus the self-copy pass; the j-blocked
+// unfused MatMulTransBRows-into-dConcat plus the self-copy pass; the j-blocked
 // dot4 walk runs over the full 2·in width so every dot is grouped exactly as
-// matMulTransBTile groups it — bit-identical to computing the dConcat row and
-// splitting it afterwards. Rows are independent.
-func MatMulTransBSplit(dz, dSelf, dPre, w *Matrix) {
-	checkSplitB("MatMulTransBSplit", dz, dSelf, dPre, w)
-	if dPre.Rows <= rowBlock || maxProcs == 1 {
-		matMulTransBSplitTile(dz, dSelf, dPre, w, 0, dPre.Rows)
-		return
-	}
-	parallelRows(dPre.Rows, func(lo, hi int) {
-		matMulTransBSplitTile(dz, dSelf, dPre, w, lo, hi)
-	})
-}
-
-func matMulTransBSplitTile(dz, dSelf, dPre, w *Matrix, lo, hi int) {
-	in := dz.Cols
-	k, m := dPre.Cols, w.Rows
-	wd := w.Data
-	j := 0
-	for ; j+4 <= m; j += 4 {
-		b0 := wd[j*k : j*k+k]
-		b1 := wd[(j+1)*k : (j+1)*k+k]
-		b2 := wd[(j+2)*k : (j+2)*k+k]
-		b3 := wd[(j+3)*k : (j+3)*k+k]
-		for i := lo; i < hi; i++ {
-			arow := dPre.Data[i*k : i*k+k]
-			s0, s1, s2, s3 := dot4(arow, b0, b1, b2, b3)
-			splitWrite4(dz, dSelf, in, i, j, s0, s1, s2, s3)
-		}
-	}
-	for ; j < m; j++ {
-		brow := wd[j*k : j*k+k]
-		for i := lo; i < hi; i++ {
-			splitWrite(dz, dSelf, in, i, j, Dot(dPre.Data[i*k:i*k+k], brow))
-		}
-	}
-}
-
-// MatMulTransBSplitRows is MatMulTransBSplit for an explicit row list — the
-// staged backward's halo and finish sweeps each cover their source subset.
-// Bit-identical per row to MatMulTransBSplit.
+// matMulTransBRowsSeg groups it — bit-identical to computing the dConcat row
+// and splitting it afterwards. Rows are independent: the staged backward's
+// halo and finish sweeps each cover their source subset.
 func MatMulTransBSplitRows(dz, dSelf, dPre, w *Matrix, rows []int32) {
 	checkSplitB("MatMulTransBSplitRows", dz, dSelf, dPre, w)
 	if len(rows) <= rowBlock || maxProcs == 1 {

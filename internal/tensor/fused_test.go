@@ -6,7 +6,7 @@ import (
 
 // refFusedForward is the unfused pipeline the fused kernel replaces, built
 // from the engine's own kernels: SpMM into the concat's left half, a row-copy
-// pass into the right half, MatMul over the concat. SpMMMatMul documents
+// pass into the right half, MatMul over the concat. SpMMMatMulRows documents
 // bit-identity against exactly this sequence. Returns (pre, concat) so
 // callers can also check z against the concat's left half.
 func refFusedForward(h, w *Matrix, indptr []int64, indices []int32, scale []float32, n int) (*Matrix, *Matrix) {
@@ -28,7 +28,7 @@ var fusedOutDims = []int{1, 5, 8, 19}
 // TestSpMMMatMulMatchesUnfused pins the fused forward against
 // SpMM+copy+MatMul, bit for bit, across awkward input/output widths
 // (including in % 4 != 0, which makes kk panels straddle the z/h boundary),
-// zero-degree rows, chunk layouts, and the Rows/Range entry points.
+// zero-degree rows, chunk layouts, and row partitions.
 func TestSpMMMatMulMatchesUnfused(t *testing.T) {
 	rng := NewRNG(501)
 	const n, nSrc = 53, 61
@@ -45,7 +45,8 @@ func TestSpMMMatMulMatchesUnfused(t *testing.T) {
 
 			pre := New(n, out)
 			z := New(n, in)
-			SpMMMatMul(pre, z, h, w, indptr, indices, scale, nil)
+			all := allRows(n)
+			SpMMMatMulRows(pre, z, h, w, indptr, indices, scale, nil, all)
 			sameBitsF32(t, "pre/nil-chunks", pre.Data, want.Data)
 			for r := 0; r < n; r++ {
 				sameBitsF32(t, "z", z.Row(r), concat.Row(r)[:in])
@@ -61,28 +62,21 @@ func TestSpMMMatMulMatchesUnfused(t *testing.T) {
 			} {
 				pre.Zero()
 				z.Zero()
-				SpMMMatMul(pre, z, h, w, indptr, indices, scale, chunks)
+				SpMMMatMulRows(pre, z, h, w, indptr, indices, scale, chunks, all)
 				sameBitsF32(t, "pre/chunks", pre.Data, want.Data)
 			}
 
-			// Random duplicate-free row partition through Rows.
+			// Random duplicate-free row partition.
 			pre.Zero()
 			z.Zero()
-			var a, b []int32
-			for v := 0; v < n; v++ {
-				if rng.Float32() < 0.5 {
-					a = append(a, int32(v))
-				} else {
-					b = append(b, int32(v))
-				}
-			}
-			SpMMMatMulRows(pre, z, h, w, indptr, indices, scale, a)
-			SpMMMatMulRows(pre, z, h, w, indptr, indices, scale, b)
+			a, b := randomSplit(rng, n)
+			SpMMMatMulRows(pre, z, h, w, indptr, indices, scale, nil, a)
+			SpMMMatMulRows(pre, z, h, w, indptr, indices, scale, []int32{0, 13, 17, 40, int32(n)}, b)
 			sameBitsF32(t, "pre/rows", pre.Data, want.Data)
 
 			// Unscaled form.
 			want, _ = refFusedForward(h, w, indptr, indices, nil, n)
-			SpMMMatMul(pre, z, h, w, indptr, indices, nil, nil)
+			SpMMMatMulRows(pre, z, h, w, indptr, indices, nil, nil, all)
 			sameBitsF32(t, "pre/unscaled", pre.Data, want.Data)
 		}
 	}
@@ -111,12 +105,12 @@ func TestSpMMMatMulMegaRow(t *testing.T) {
 	want, _ := refFusedForward(h, w, indptr, indices, nil, n)
 	pre := New(n, out)
 	z := New(n, in)
-	SpMMMatMul(pre, z, h, w, indptr, indices, nil, []int32{0, 11, 12, n})
+	SpMMMatMulRows(pre, z, h, w, indptr, indices, nil, []int32{0, 11, 12, n}, allRows(n))
 	sameBitsF32(t, "mega-row", pre.Data, want.Data)
 }
 
-// TestSpMMMatMulParallelPathMatchesSerial forces the worker-pool branches
-// (chunk claim, grain split, and the rows grain split) and checks the fused
+// TestSpMMMatMulParallelPathMatchesSerial forces the worker-pool branch
+// (chunk-split claims of the full list and of a subset) and checks the fused
 // kernel still produces the unfused reference bits.
 func TestSpMMMatMulParallelPathMatchesSerial(t *testing.T) {
 	saved := maxProcs
@@ -134,25 +128,22 @@ func TestSpMMMatMulParallelPathMatchesSerial(t *testing.T) {
 	}
 	want, _ := refFusedForward(h, w, indptr, indices, scale, n)
 
+	chunks := []int32{0, 5, 40, 41, 77, n}
 	pre := New(n, out)
 	z := New(n, in)
-	SpMMMatMul(pre, z, h, w, indptr, indices, scale, []int32{0, 5, 40, 41, 77, n})
+	SpMMMatMulRows(pre, z, h, w, indptr, indices, scale, chunks, allRows(n))
 	sameBitsF32(t, "parallel/chunks", pre.Data, want.Data)
 	pre.Zero()
-	SpMMMatMul(pre, z, h, w, indptr, indices, scale, nil)
-	sameBitsF32(t, "parallel/grain", pre.Data, want.Data)
-	pre.Zero()
-	rows := make([]int32, n)
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	SpMMMatMulRows(pre, z, h, w, indptr, indices, scale, rows)
+	a, b := randomSplit(rng, n)
+	SpMMMatMulRows(pre, z, h, w, indptr, indices, scale, chunks, a)
+	SpMMMatMulRows(pre, z, h, w, indptr, indices, scale, chunks, b)
 	sameBitsF32(t, "parallel/rows", pre.Data, want.Data)
 }
 
-// TestMatMulTransBSplitMatchesUnfused pins the fused backward sweep against
-// MatMulTransB-into-dConcat followed by the split, bit for bit, across widths
-// and the staged halo/free row subsets the pipelined backward drives.
+// TestMatMulTransBSplitMatchesUnfused pins the fused backward sweep
+// (MatMulTransBSplitRows) against MatMulTransBRows-into-dConcat followed by
+// the split, bit for bit, across widths, for the full row list and the
+// staged halo/free row subsets the pipelined backward drives.
 func TestMatMulTransBSplitMatchesUnfused(t *testing.T) {
 	rng := NewRNG(504)
 	const n = 41
@@ -162,7 +153,7 @@ func TestMatMulTransBSplitMatchesUnfused(t *testing.T) {
 			w := randomMatrix(rng, 2*in, out)
 
 			dConcat := New(n, 2*in)
-			MatMulTransB(dConcat, dPre, w)
+			MatMulTransBRows(dConcat, dPre, w, allRows(n))
 			wantZ := New(n, in)
 			wantSelf := New(n, in)
 			for r := 0; r < n; r++ {
@@ -172,7 +163,7 @@ func TestMatMulTransBSplitMatchesUnfused(t *testing.T) {
 
 			dz := New(n, in)
 			dSelf := New(n, in)
-			MatMulTransBSplit(dz, dSelf, dPre, w)
+			MatMulTransBSplitRows(dz, dSelf, dPre, w, allRows(n))
 			sameBitsF32(t, "dz", dz.Data, wantZ.Data)
 			sameBitsF32(t, "dSelf", dSelf.Data, wantSelf.Data)
 
@@ -180,14 +171,7 @@ func TestMatMulTransBSplitMatchesUnfused(t *testing.T) {
 			// a duplicate-free partition covering every row exactly once.
 			dz.Zero()
 			dSelf.Zero()
-			var halo, free []int32
-			for v := 0; v < n; v++ {
-				if rng.Float32() < 0.3 {
-					halo = append(halo, int32(v))
-				} else {
-					free = append(free, int32(v))
-				}
-			}
+			halo, free := randomSplit(rng, n)
 			MatMulTransBSplitRows(dz, dSelf, dPre, w, halo)
 			MatMulTransBSplitRows(dz, dSelf, dPre, w, free)
 			sameBitsF32(t, "dz/staged", dz.Data, wantZ.Data)
@@ -196,8 +180,8 @@ func TestMatMulTransBSplitMatchesUnfused(t *testing.T) {
 	}
 }
 
-// TestMatMulTransBSplitParallel forces the row-parallel branch of both the
-// full and row-list sweeps.
+// TestMatMulTransBSplitParallel forces the row-parallel branch of the
+// row-list sweep.
 func TestMatMulTransBSplitParallel(t *testing.T) {
 	saved := maxProcs
 	maxProcs = 4
@@ -208,7 +192,7 @@ func TestMatMulTransBSplitParallel(t *testing.T) {
 	dPre := randomMatrix(rng, n, out)
 	w := randomMatrix(rng, 2*in, out)
 	dConcat := New(n, 2*in)
-	MatMulTransB(dConcat, dPre, w)
+	MatMulTransBRows(dConcat, dPre, w, allRows(n))
 	wantZ := New(n, in)
 	wantSelf := New(n, in)
 	for r := 0; r < n; r++ {
@@ -218,17 +202,7 @@ func TestMatMulTransBSplitParallel(t *testing.T) {
 
 	dz := New(n, in)
 	dSelf := New(n, in)
-	MatMulTransBSplit(dz, dSelf, dPre, w)
-	sameBitsF32(t, "dz/parallel", dz.Data, wantZ.Data)
-	sameBitsF32(t, "dSelf/parallel", dSelf.Data, wantSelf.Data)
-
-	dz.Zero()
-	dSelf.Zero()
-	rows := make([]int32, n)
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	MatMulTransBSplitRows(dz, dSelf, dPre, w, rows)
+	MatMulTransBSplitRows(dz, dSelf, dPre, w, allRows(n))
 	sameBitsF32(t, "dz/parallel-rows", dz.Data, wantZ.Data)
 	sameBitsF32(t, "dSelf/parallel-rows", dSelf.Data, wantSelf.Data)
 }

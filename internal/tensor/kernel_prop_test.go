@@ -67,10 +67,10 @@ func TestMatMulTransBPropertyOddShapes(t *testing.T) {
 				a := randomMatrix(rng, n, k)
 				b := randomMatrix(rng, m, k)
 				got := New(n, m)
-				MatMulTransB(got, a, b)
+				MatMulTransBRows(got, a, b, allRows(n))
 				want := refMatMul(a, Transpose(b))
 				if e := maxRelErr(got, want); e > 1e-5 {
-					t.Fatalf("MatMulTransB %dx%dx%d: max rel err %g", n, k, m, e)
+					t.Fatalf("MatMulTransBRows %dx%dx%d: max rel err %g", n, k, m, e)
 				}
 			}
 		}

@@ -25,6 +25,13 @@ type rowTask struct {
 	grain int64
 	next  atomic.Int64
 	wg    sync.WaitGroup
+
+	// A chunk-split row-list task (parallelRowChunks) sets listFn instead
+	// of fn: cursor unit u is chunk c0+u, and listFn gets the part of list
+	// inside it. Holding the list here spares the task a closure.
+	listFn       func(sub []int32)
+	list, chunks []int32
+	c0           int
 }
 
 func (t *rowTask) run() {
@@ -39,7 +46,13 @@ func (t *rowTask) run() {
 		if hi > rows {
 			hi = rows
 		}
-		t.fn(lo, hi)
+		if t.listFn == nil {
+			t.fn(lo, hi)
+			continue
+		}
+		for c := t.c0 + lo; c < t.c0+hi; c++ {
+			t.listFn(chunkRows(t.list, t.chunks, c))
+		}
 	}
 }
 
@@ -81,13 +94,20 @@ func parallelGrain(units, grain int, fn func(lo, hi int)) {
 		fn(0, units)
 		return
 	}
+	t := taskPool.Get().(*rowTask)
+	t.fn = fn
+	t.dispatch(units, grain)
+}
+
+// dispatch runs the task over [0,units) in grain-unit claims on the pool,
+// with the caller participating, then returns it to taskPool.
+func (t *rowTask) dispatch(units, grain int) {
 	workerOnce.Do(startWorkers)
 	helpers := (units+grain-1)/grain - 1
 	if helpers > maxProcs-1 {
 		helpers = maxProcs - 1
 	}
-	t := taskPool.Get().(*rowTask)
-	t.fn, t.rows, t.grain = fn, units, int64(grain)
+	t.rows, t.grain = units, int64(grain)
 	t.next.Store(0)
 	t.wg.Add(helpers)
 	for i := 0; i < helpers; i++ {
@@ -95,32 +115,51 @@ func parallelGrain(units, grain int, fn func(lo, hi int)) {
 	}
 	t.run()
 	t.wg.Wait()
-	t.fn = nil
+	t.fn, t.listFn, t.list, t.chunks = nil, nil, nil, nil
 	taskPool.Put(t)
 }
 
 // Parallelism reports the kernel worker-pool width (GOMAXPROCS at init).
-// Callers use it to skip building parallel closures — which escape to the
-// heap — when the kernels would run inline anyway.
 func Parallelism() int { return maxProcs }
 
-// ParallelChunks runs fn(c) for every chunk index c in [0,n) on the shared
-// persistent kernel worker pool, one chunk claimed per cursor advance. The
-// caller's chunks must write disjoint outputs; then results are independent
-// of scheduling. Used by the graph layers to drive per-node sweeps over
-// edge-balanced chunk indexes (see SpMM for the matrix-level drivers).
-func ParallelChunks(n int, fn func(c int)) {
-	if n <= 1 || maxProcs == 1 {
-		for c := 0; c < n; c++ {
-			fn(c)
-		}
+// ParallelRowChunks runs fn over the ascending, duplicate-free row list
+// rows split at the edge-balanced chunk boundaries chunks (ascending,
+// chunks[0] = 0, covering every listed row — graph.AggIndex.Chunks): each
+// claim on the shared worker pool takes the part of rows inside one chunk,
+// so a full pass over the identity list is balanced like the plan, and a
+// mega-degree row is claimed alone. nil chunks, lists of at most spmmGrain
+// rows and a one-wide pool run fn(rows) inline. fn's calls must write
+// disjoint outputs; then results are independent of scheduling. The graph
+// layers drive their per-node sweeps this way, and the row-list kernels
+// share its claim loop.
+func ParallelRowChunks(rows, chunks []int32, fn func(sub []int32)) {
+	if rowsInline("ParallelRowChunks", rows, chunks) {
+		fn(rows)
 		return
 	}
-	parallelGrain(n, 1, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			fn(c)
-		}
-	})
+	parallelRowChunks(rows, chunks, fn)
+}
+
+// rowsInline validates a row list (checkRowList) and reports whether it
+// runs on the calling goroutine: no chunks, a list within the inline grain,
+// or a one-wide pool. The row-list kernels test it before building their
+// per-segment closure, which would escape to the pool.
+func rowsInline(name string, rows, chunks []int32) bool {
+	checkRowList(name, rows, chunks)
+	return chunks == nil || len(rows) <= spmmGrain || maxProcs == 1
+}
+
+// parallelRowChunks runs fn over a validated, non-empty list with chunks:
+// one pool claim per chunk holding part of the list (rowTask.run).
+func parallelRowChunks(rows, chunks []int32, fn func(sub []int32)) {
+	c0, c1 := rowChunkSpan(rows, chunks)
+	if c1-c0 == 1 {
+		fn(rows)
+		return
+	}
+	t := taskPool.Get().(*rowTask)
+	t.listFn, t.list, t.chunks, t.c0 = fn, rows, chunks, c0
+	t.dispatch(c1-c0, 1)
 }
 
 // ---- vector primitives ----
@@ -277,50 +316,6 @@ func matMulTile(out, a, b *Matrix, lo, hi int) {
 				continue
 			}
 			Axpy(out.Data[i*m:i*m+m], brow, av)
-		}
-	}
-}
-
-// MatMulTransB computes out = a·bᵀ where a is n×k and b is m×k. out must be
-// n×m and is overwritten. Both operands are walked along contiguous rows;
-// four b rows are dotted against each a row at once so the 4×k b panel is
-// reused across the whole row tile.
-func MatMulTransB(out, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTransB inner dim mismatch %d vs %d", a.Cols, b.Cols))
-	}
-	if out.Rows != a.Rows || out.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTransB out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Rows))
-	}
-	if a.Rows <= rowBlock || maxProcs == 1 {
-		matMulTransBTile(out, a, b, 0, a.Rows)
-		return
-	}
-	parallelRows(a.Rows, func(lo, hi int) {
-		matMulTransBTile(out, a, b, lo, hi)
-	})
-}
-
-func matMulTransBTile(out, a, b *Matrix, lo, hi int) {
-	k, m := a.Cols, b.Rows
-	bd := b.Data
-	j := 0
-	for ; j+4 <= m; j += 4 {
-		b0 := bd[j*k : j*k+k]
-		b1 := bd[(j+1)*k : (j+1)*k+k]
-		b2 := bd[(j+2)*k : (j+2)*k+k]
-		b3 := bd[(j+3)*k : (j+3)*k+k]
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*k : i*k+k]
-			s0, s1, s2, s3 := dot4(arow, b0, b1, b2, b3)
-			o := out.Data[i*m+j : i*m+j+4]
-			o[0], o[1], o[2], o[3] = s0, s1, s2, s3
-		}
-	}
-	for ; j < m; j++ {
-		brow := bd[j*k : j*k+k]
-		for i := lo; i < hi; i++ {
-			out.Data[i*m+j] = Dot(a.Data[i*k:i*k+k], brow)
 		}
 	}
 }

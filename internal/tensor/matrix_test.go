@@ -212,10 +212,10 @@ func TestMatMulTransB(t *testing.T) {
 		a := randomMatrix(rng, n, k)
 		b := randomMatrix(rng, m, k)
 		out := New(n, m)
-		MatMulTransB(out, a, b)
+		MatMulTransBRows(out, a, b, allRows(out.Rows))
 		want := naiveMatMul(a, Transpose(b))
 		if !out.Equal(want, 1e-3) {
-			t.Fatalf("trial %d: MatMulTransB mismatch", trial)
+			t.Fatalf("trial %d: MatMulTransBRows mismatch", trial)
 		}
 	}
 }

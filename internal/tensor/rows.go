@@ -2,16 +2,17 @@ package tensor
 
 import "fmt"
 
-// Row-subset matmul variants for the pipelined epoch engine. A layer's
-// forward/backward can run in chunks — halo-independent rows while boundary
-// features are in flight, halo-dependent rows on arrival — only if chunking
-// cannot change a single output bit. These kernels guarantee that by
+// Row-list matmul kernels for the graph layers. A layer's forward/backward
+// runs over row lists — the whole identity list for a full pass,
+// halo-independent rows while boundary features are in flight and
+// halo-dependent rows on arrival for a pipelined one — so listing cannot be
+// allowed to change a single output bit. These kernels guarantee that by
 // construction: each output row is computed with exactly the per-row
-// arithmetic of matMulTile/matMulTransBTile (same k-panel walk, same axpy4/
-// dot4 primitives, same accumulation order), and rows are fully independent
-// of each other, so any duplicate-free partition of the row space reproduces
-// the one-shot result bit for bit. The kernel property tests pin this on
-// odd/prime shapes with random row partitions.
+// arithmetic of matMulTile (same k-panel walk, same axpy4/dot4 primitives,
+// same accumulation order), and rows are fully independent of each other, so
+// any duplicate-free partition of the row space reproduces the full-list
+// result bit for bit. The kernel property tests pin this on odd/prime shapes
+// with random row partitions.
 
 // MatMulRows computes out.Row(v) = a.Row(v)·b for every v in rows, leaving
 // all other rows of out untouched. rows must be in-range and duplicate-free
@@ -73,30 +74,11 @@ func matMulRowsSeg(out, a, b *Matrix, rows []int32) {
 	}
 }
 
-// MatMulRange computes rows [lo,hi) of out = a·b, leaving all other rows of
-// out untouched. Bit-identical per row to MatMul.
-func MatMulRange(out, a, b *Matrix, lo, hi int) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulRange inner dim mismatch %d vs %d", a.Cols, b.Rows))
-	}
-	if out.Rows != a.Rows || out.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulRange out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Cols))
-	}
-	if lo < 0 || hi < lo || hi > a.Rows {
-		panic(fmt.Sprintf("tensor: MatMulRange rows [%d,%d) outside [0,%d)", lo, hi, a.Rows))
-	}
-	if hi-lo <= rowBlock || maxProcs == 1 {
-		matMulTile(out, a, b, lo, hi)
-		return
-	}
-	parallelRows(hi-lo, func(l, h int) {
-		matMulTile(out, a, b, lo+l, lo+h)
-	})
-}
-
 // MatMulTransBRows computes out.Row(v) = a.Row(v)·bᵀ for every v in rows,
-// leaving all other rows of out untouched. Bit-identical per row to
-// MatMulTransB.
+// where a is n×k and b is m×k, leaving all other rows of out (n×m)
+// untouched. rows must be in-range and duplicate-free (order is irrelevant).
+// Four b rows are dotted against each listed a row at once, so the 4×k b
+// panel is reused across the whole row set.
 func MatMulTransBRows(out, a, b *Matrix, rows []int32) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransBRows inner dim mismatch %d vs %d", a.Cols, b.Cols))
@@ -137,25 +119,4 @@ func matMulTransBRowsSeg(out, a, b *Matrix, rows []int32) {
 			out.Data[i*m+j] = Dot(a.Data[i*k:i*k+k], brow)
 		}
 	}
-}
-
-// MatMulTransBRange computes rows [lo,hi) of out = a·bᵀ, leaving all other
-// rows of out untouched. Bit-identical per row to MatMulTransB.
-func MatMulTransBRange(out, a, b *Matrix, lo, hi int) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTransBRange inner dim mismatch %d vs %d", a.Cols, b.Cols))
-	}
-	if out.Rows != a.Rows || out.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTransBRange out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Rows))
-	}
-	if lo < 0 || hi < lo || hi > a.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTransBRange rows [%d,%d) outside [0,%d)", lo, hi, a.Rows))
-	}
-	if hi-lo <= rowBlock || maxProcs == 1 {
-		matMulTransBTile(out, a, b, lo, hi)
-		return
-	}
-	parallelRows(hi-lo, func(l, h int) {
-		matMulTransBTile(out, a, b, lo+l, lo+h)
-	})
 }

@@ -11,6 +11,16 @@ func fillSentinel(m *Matrix) {
 	}
 }
 
+// allRows is the identity row list [0, n): a full pass of a row-list kernel
+// (graph.AggIndex.Ident in the layers).
+func allRows(n int) []int32 {
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return rows
+}
+
 // randomSplit partitions [0,n) into two duplicate-free ascending row lists.
 func randomSplit(rng *RNG, n int) (a, b []int32) {
 	for v := 0; v < n; v++ {
@@ -23,10 +33,10 @@ func randomSplit(rng *RNG, n int) (a, b []int32) {
 	return a, b
 }
 
-// TestMatMulRowsMatchesFull pins the bit-identity contract of the row-subset
+// TestMatMulRowsMatchesFull pins the bit-identity contract of the row-list
 // kernels: computing any partition of the rows — in two chunks, scattered or
-// contiguous — must reproduce the one-shot kernel exactly, on odd and prime
-// shapes that exercise every tail path.
+// contiguous sub-slices of the identity list — must reproduce the full
+// MatMul exactly, on odd and prime shapes that exercise every tail path.
 func TestMatMulRowsMatchesFull(t *testing.T) {
 	rng := NewRNG(7)
 	shapes := [][3]int{{1, 1, 1}, {3, 5, 2}, {7, 13, 11}, {17, 9, 23}, {65, 31, 19}, {130, 67, 37}}
@@ -56,18 +66,20 @@ func TestMatMulRowsMatchesFull(t *testing.T) {
 
 		got2 := New(n, m)
 		fillSentinel(got2)
-		cut := n / 3
-		MatMulRange(got2, a, b, 0, cut)
-		MatMulRange(got2, a, b, cut, n)
+		all, cut := allRows(n), n/3
+		MatMulRows(got2, a, b, all[:cut])
+		MatMulRows(got2, a, b, all[cut:])
 		for i := range want.Data {
 			if got2.Data[i] != want.Data[i] {
-				t.Fatalf("MatMulRange %dx%dx%d: element %d = %v, want %v", n, k, m, i, got2.Data[i], want.Data[i])
+				t.Fatalf("MatMulRows contiguous %dx%dx%d: element %d = %v, want %v", n, k, m, i, got2.Data[i], want.Data[i])
 			}
 		}
 	}
 }
 
-// TestMatMulTransBRowsMatchesFull is the same contract for out = a·bᵀ.
+// TestMatMulTransBRowsMatchesFull is the same contract for out = a·bᵀ, whose
+// full pass is the identity list itself (pinned against a naive product by
+// TestMatMulTransB).
 func TestMatMulTransBRowsMatchesFull(t *testing.T) {
 	rng := NewRNG(11)
 	shapes := [][3]int{{1, 1, 1}, {5, 3, 7}, {13, 11, 5}, {29, 17, 9}, {67, 23, 41}}
@@ -82,7 +94,8 @@ func TestMatMulTransBRowsMatchesFull(t *testing.T) {
 			b.Data[i] = float32(rng.NormFloat64())
 		}
 		want := New(n, m)
-		MatMulTransB(want, a, b)
+		all := allRows(n)
+		MatMulTransBRows(want, a, b, all)
 
 		got := New(n, m)
 		fillSentinel(got)
@@ -98,11 +111,11 @@ func TestMatMulTransBRowsMatchesFull(t *testing.T) {
 		got2 := New(n, m)
 		fillSentinel(got2)
 		cut := (n + 1) / 2
-		MatMulTransBRange(got2, a, b, 0, cut)
-		MatMulTransBRange(got2, a, b, cut, n)
+		MatMulTransBRows(got2, a, b, all[:cut])
+		MatMulTransBRows(got2, a, b, all[cut:])
 		for i := range want.Data {
 			if got2.Data[i] != want.Data[i] {
-				t.Fatalf("MatMulTransBRange %dx%dx%d: element %d = %v, want %v", n, k, m, i, got2.Data[i], want.Data[i])
+				t.Fatalf("MatMulTransBRows contiguous %dx%dx%d: element %d = %v, want %v", n, k, m, i, got2.Data[i], want.Data[i])
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Sparse aggregation engine: CSR SpMM kernels for the graph layers' neighbor
 // aggregation (forward Z = scale·A·H, backward dH = Aᵀ·scale·dZ as a gather
@@ -11,7 +14,7 @@ import "fmt"
 //
 //	SpMM row r:       zero; for each e in CSR row r: AddTo(dst, x.Row(u_e));
 //	                  then dst *= scale[r]
-//	SpMMTrans row r:  for each e in transposed row r: Axpy(dst, src.Row(v_e),
+//	SpMMTransRows r:  for each e in transposed row r: Axpy(dst, src.Row(v_e),
 //	                  scale[v_e])        (dst is NOT zeroed: the caller owns
 //	                  the initialization — zero, or a self term)
 //
@@ -27,17 +30,20 @@ import "fmt"
 //
 // Parallelism. Rows are fully independent (each output row reads only its
 // own CSR segment and writes only itself), so any duplicate-free partition of
-// the row space is bit-identical in any execution order. The full-pass
-// drivers take an optional edge-balanced chunk index (prefix-summed over
-// indptr by graph.AggIndex so one mega-degree row lands in its own chunk
-// instead of serializing a worker's whole share) and claim chunks dynamically
-// from the persistent worker pool; with chunks == nil they fall back to
+// the row space is bit-identical in any execution order. The kernels take an
+// edge-balanced chunk index (prefix-summed over indptr by graph.AggIndex so
+// one mega-degree row lands in its own chunk instead of serializing a
+// worker's whole share) and claim chunks dynamically from the persistent
+// worker pool; the row-list kernels claim the part of their ascending list
+// inside one chunk per cursor advance, so a full pass over the identity list
+// is balanced exactly like SpMM's. SpMM with chunks == nil falls back to
 // dynamic spmmGrain-row claiming, which load-balances everything except a
 // single mega row.
 
-// spmmGrain is the dynamic claim size (in rows) of the chunkless sparse
-// drivers: small enough that degree skew between claims stays bounded,
-// large enough that the atomic cursor is not contended.
+// spmmGrain is the dynamic claim size (in rows) of chunkless SpMM — small
+// enough that degree skew between claims stays bounded, large enough that
+// the atomic cursor is not contended — and the list length up to which the
+// row-list kernels run inline.
 const spmmGrain = 8
 
 // unitCoef feeds axpy4AVX2 for the unscaled gather: fma(1,x,acc) ≡ acc+x
@@ -203,13 +209,15 @@ func SpMM(out, x *Matrix, indptr []int64, indices []int32, scale []float32, chun
 		return
 	}
 	nr := out.Rows
-	ParallelChunks(len(chunks)-1, func(c int) {
-		lo, hi := int(chunks[c]), int(chunks[c+1])
-		if hi > nr {
-			hi = nr
-		}
-		for r := lo; r < hi; r++ {
-			spmmRow(out, x, indptr, indices, scale, r)
+	parallelGrain(len(chunks)-1, 1, func(cLo, cHi int) {
+		for c := cLo; c < cHi; c++ {
+			lo, hi := int(chunks[c]), int(chunks[c+1])
+			if hi > nr {
+				hi = nr
+			}
+			for r := lo; r < hi; r++ {
+				spmmRow(out, x, indptr, indices, scale, r)
+			}
 		}
 	})
 }
@@ -267,92 +275,64 @@ func checkSpMMTrans(name string, dst, src *Matrix, indptr []int64) {
 	}
 }
 
-// SpMMTrans computes the backward aggregation dst += Aᵀ·diag(scale)·src as a
-// GATHER: for every destination row r in [0, dst.Rows),
+// SpMMTransRows computes the backward aggregation dst += Aᵀ·diag(scale)·src
+// as a GATHER over the listed destination rows: for every r in rows,
 //
 //	dst.Row(r) += Σ_{v ∈ transposed CSR row r} scale[v] · src.Row(v)[:dst.Cols]
 //
-// (indptr, indices) is the TRANSPOSED index — per destination, the ascending
-// list of source rows (graph.AggIndex.IncIndptr/IncSrc) — so destination
-// rows are independent and the scatter race of the naive formulation never
-// exists. scale indexes SOURCE rows; nil skips the scaling. src.Cols may
-// exceed dst.Cols (the SAGE layer reads the dz half of its dConcat rows).
-// dst is accumulated into, not zeroed: the caller initializes rows (zero, or
-// the layer's self term). chunks is the edge-balanced boundary list over the
-// transposed index (graph.AggIndex.IncChunks), nil for dynamic row claiming.
-func SpMMTrans(dst, src *Matrix, indptr []int64, indices []int32, scale []float32, chunks []int32) {
-	checkSpMMTrans("SpMMTrans", dst, src, indptr)
-	if chunks == nil || maxProcs == 1 {
-		spmmTransRange(dst, src, indptr, indices, scale, 0, dst.Rows)
-		return
-	}
-	nr := dst.Rows
-	ParallelChunks(len(chunks)-1, func(c int) {
-		lo, hi := int(chunks[c]), int(chunks[c+1])
-		if hi > nr {
-			hi = nr
-		}
-		for r := lo; r < hi; r++ {
-			spmmTransRow(dst, src, indptr, indices, scale, r)
-		}
-	})
-}
-
-// SpMMTransRange computes destination rows [lo,hi) of SpMMTrans. chunks (may
-// be nil) is clamped to the range: the pipelined engine's BackwardFinish
-// completes the inner rows [0,nIn) while the halo rows' gradients are
-// already in flight.
-func SpMMTransRange(dst, src *Matrix, indptr []int64, indices []int32, scale []float32, chunks []int32, lo, hi int) {
-	checkSpMMTrans("SpMMTransRange", dst, src, indptr)
-	if lo < 0 || hi < lo || hi > dst.Rows {
-		panic(fmt.Sprintf("tensor: SpMMTransRange rows [%d,%d) outside [0,%d)", lo, hi, dst.Rows))
-	}
-	if chunks == nil || maxProcs == 1 {
-		spmmTransRange(dst, src, indptr, indices, scale, lo, hi)
-		return
-	}
-	ParallelChunks(len(chunks)-1, func(c int) {
-		l, h := int(chunks[c]), int(chunks[c+1])
-		if l < lo {
-			l = lo
-		}
-		if h > hi {
-			h = hi
-		}
-		for r := l; r < h; r++ {
-			spmmTransRow(dst, src, indptr, indices, scale, r)
-		}
-	})
-}
-
-func spmmTransRange(dst, src *Matrix, indptr []int64, indices []int32, scale []float32, lo, hi int) {
-	if hi-lo <= spmmGrain || maxProcs == 1 { // skip the closure: it would escape
-		for r := lo; r < hi; r++ {
-			spmmTransRow(dst, src, indptr, indices, scale, r)
-		}
-		return
-	}
-	parallelGrain(hi-lo, spmmGrain, func(l, h int) {
-		for r := lo + l; r < lo+h; r++ {
-			spmmTransRow(dst, src, indptr, indices, scale, r)
-		}
-	})
-}
-
-// SpMMTransRows accumulates the listed destination rows of SpMMTrans,
-// leaving all other rows untouched — the staged backward's halo stage
-// completes exactly the sampled boundary slots this way.
-func SpMMTransRows(dst, src *Matrix, indptr []int64, indices []int32, scale []float32, rows []int32) {
+// leaving all other rows untouched. (indptr, indices) is the TRANSPOSED
+// index — per destination, the ascending list of source rows
+// (graph.AggIndex.IncIndptr/IncSrc) — so destination rows are independent
+// and the scatter race of the naive formulation never exists. scale indexes
+// SOURCE rows; nil skips the scaling. src.Cols may exceed dst.Cols. dst is
+// accumulated into, not zeroed: the caller initializes rows (zero, or the
+// layer's self term). rows must be ascending and duplicate-free; chunks is
+// the edge-balanced boundary list over the transposed index
+// (graph.AggIndex.IncChunks), each pool claim taking the part of rows inside
+// one chunk, and nil runs the list on the calling goroutine.
+func SpMMTransRows(dst, src *Matrix, indptr []int64, indices []int32, scale []float32, chunks, rows []int32) {
 	checkSpMMTrans("SpMMTransRows", dst, src, indptr)
-	if len(rows) <= spmmGrain || maxProcs == 1 { // skip the closure: it would escape
-		for _, r := range rows {
-			spmmTransRow(dst, src, indptr, indices, scale, int(r))
-		}
+	if rowsInline("SpMMTransRows", rows, chunks) {
+		spmmTransRowsSeg(dst, src, indptr, indices, scale, rows)
 		return
 	}
-	parallelGrain(len(rows), spmmGrain, func(l, h int) {
-		for _, r := range rows[l:h] {
-			spmmTransRow(dst, src, indptr, indices, scale, int(r))
-		}
+	parallelRowChunks(rows, chunks, func(sub []int32) {
+		spmmTransRowsSeg(dst, src, indptr, indices, scale, sub)
 	})
+}
+
+func spmmTransRowsSeg(dst, src *Matrix, indptr []int64, indices []int32, scale []float32, rows []int32) {
+	for _, r := range rows {
+		spmmTransRow(dst, src, indptr, indices, scale, int(r))
+	}
+}
+
+// checkRowList validates a row-list kernel's list: strictly ascending (which
+// also makes it duplicate-free), and inside the chunk list's row space.
+func checkRowList(name string, rows, chunks []int32) {
+	for i := 1; i < len(rows); i++ {
+		if rows[i] <= rows[i-1] {
+			panic(fmt.Sprintf("tensor: %s rows not ascending at %d: %d after %d", name, i, rows[i], rows[i-1]))
+		}
+	}
+	if len(rows) > 0 && (rows[0] < 0 || chunks != nil && rows[len(rows)-1] >= chunks[len(chunks)-1]) {
+		panic(fmt.Sprintf("tensor: %s rows [%d..%d] outside the chunked row space", name, rows[0], rows[len(rows)-1]))
+	}
+}
+
+// rowChunkSpan returns the range [c0, c1) of chunk indices that hold part of
+// the ascending, non-empty row list: the chunk-split kernels claim only
+// those, so a short list never walks the whole chunk index.
+func rowChunkSpan(rows, chunks []int32) (c0, c1 int) {
+	c0, _ = slices.BinarySearch(chunks, rows[0]+1)
+	c1, _ = slices.BinarySearch(chunks, rows[len(rows)-1]+1)
+	return c0 - 1, c1
+}
+
+// chunkRows returns the part of the ascending row list inside chunk c,
+// [chunks[c], chunks[c+1]).
+func chunkRows(rows, chunks []int32, c int) []int32 {
+	lo, _ := slices.BinarySearch(rows, chunks[c])
+	hi, _ := slices.BinarySearch(rows, chunks[c+1])
+	return rows[lo:hi]
 }

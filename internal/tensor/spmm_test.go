@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"sync/atomic"
 	"testing"
 )
 
@@ -171,14 +172,17 @@ func TestSpMMWideDestination(t *testing.T) {
 }
 
 // TestSpMMTransMatchesScatterReference pins the backward gather against the
-// ascending-source scatter it replaces: same bits for full, range, and
-// row-subset entry points, scaled and unscaled, with the source matrix wider
+// ascending-source scatter it replaces: same bits for the full list with and
+// without chunks, a split into a gapped subset and its complement, and
+// contiguous sub-slices, scaled and unscaled, with the source matrix wider
 // than the destination (the dConcat layout).
 func TestSpMMTransMatchesScatterReference(t *testing.T) {
 	rng := NewRNG(403)
 	const n, nDst = 47, 59
 	indptr, indices := randCSR(rng, n, nDst, 15)
 	tIndptr, tSrc := transposeCSR(n, indptr, indices, nDst)
+	all := allRows(nDst)
+	chunks := []int32{0, 7, 8, 31, nDst}
 	for _, dim := range spmmDims {
 		src := randomMatrix(rng, n, dim+3) // wider than dst: prefix gathered
 		scale := make([]float32, n)
@@ -193,35 +197,30 @@ func TestSpMMTransMatchesScatterReference(t *testing.T) {
 
 		got := New(nDst, dim)
 		copy(got.Data, init.Data)
-		SpMMTrans(got, src, tIndptr, tSrc, scale, nil)
-		sameBitsF32(t, "SpMMTrans/nil-chunks", got.Data, want.Data)
+		SpMMTransRows(got, src, tIndptr, tSrc, scale, nil, all)
+		sameBitsF32(t, "SpMMTransRows/nil-chunks", got.Data, want.Data)
 
 		copy(got.Data, init.Data)
-		SpMMTrans(got, src, tIndptr, tSrc, scale, []int32{0, 7, 8, 31, nDst})
-		sameBitsF32(t, "SpMMTrans/chunks", got.Data, want.Data)
+		SpMMTransRows(got, src, tIndptr, tSrc, scale, chunks, all)
+		sameBitsF32(t, "SpMMTransRows/chunks", got.Data, want.Data)
 
-		// Split destinations across Rows + Range calls.
 		copy(got.Data, init.Data)
-		var a []int32
-		for u := 0; u < 20; u++ {
-			a = append(a, int32(u))
-		}
-		SpMMTransRows(got, src, tIndptr, tSrc, scale, a)
-		SpMMTransRange(got, src, tIndptr, tSrc, scale, nil, 20, nDst)
-		sameBitsF32(t, "SpMMTransRows+Range", got.Data, want.Data)
+		a, b := randomSplit(rng, nDst)
+		SpMMTransRows(got, src, tIndptr, tSrc, scale, chunks, a)
+		SpMMTransRows(got, src, tIndptr, tSrc, scale, nil, b)
+		sameBitsF32(t, "SpMMTransRows/split", got.Data, want.Data)
 
-		// Range with a clamped chunk index.
 		copy(got.Data, init.Data)
-		SpMMTransRange(got, src, tIndptr, tSrc, scale, []int32{0, 13, 44, nDst}, 0, 25)
-		SpMMTransRange(got, src, tIndptr, tSrc, scale, []int32{0, 13, 44, nDst}, 25, nDst)
-		sameBitsF32(t, "SpMMTransRange/chunked", got.Data, want.Data)
+		SpMMTransRows(got, src, tIndptr, tSrc, scale, []int32{0, 13, 44, nDst}, all[:25])
+		SpMMTransRows(got, src, tIndptr, tSrc, scale, []int32{0, 13, 44, nDst}, all[25:])
+		sameBitsF32(t, "SpMMTransRows/contiguous", got.Data, want.Data)
 
 		// Unscaled form.
 		copy(want.Data, init.Data)
 		refSpMMTrans(want, src, indptr, indices, nil, n)
 		copy(got.Data, init.Data)
-		SpMMTrans(got, src, tIndptr, tSrc, nil, nil)
-		sameBitsF32(t, "SpMMTrans/unscaled", got.Data, want.Data)
+		SpMMTransRows(got, src, tIndptr, tSrc, nil, nil, all)
+		sameBitsF32(t, "SpMMTransRows/unscaled", got.Data, want.Data)
 	}
 }
 
@@ -338,6 +337,116 @@ func TestSpMMParallelPathMatchesSerial(t *testing.T) {
 	wantT := New(nSrc, dim)
 	refSpMMTrans(wantT, src, indptr, indices, scale, n)
 	gotT := New(nSrc, dim)
-	SpMMTrans(gotT, src, tIndptr, tSrc, scale, []int32{0, 11, 30, nSrc})
+	SpMMTransRows(gotT, src, tIndptr, tSrc, scale, []int32{0, 11, 30, nSrc}, allRows(nSrc))
 	sameBitsF32(t, "parallel/trans", gotT.Data, wantT.Data)
+}
+
+// TestRowListsClaimChunkSplits pins the chunk-split claiming of the row-list
+// sparse kernels: each pool claim takes the part of an ascending list inside
+// one edge-balanced chunk. Lists that are empty, a single row, gapped across
+// several chunks, holding a mega-degree row alone in its chunk, ending
+// mid-chunk, or random must reproduce the full references bit for bit — SpMM,
+// self-copy and MatMul for the fused forward, the ascending-source scatter
+// for the transposed gather — and leave every unlisted row untouched, at
+// pool widths 1 and 2; ParallelRowChunks, the layers' form of the same
+// claims, must hand out every listed row exactly once, also with no chunks.
+func TestRowListsClaimChunkSplits(t *testing.T) {
+	saved := maxProcs
+	defer func() { maxProcs = saved }()
+
+	rng := NewRNG(409)
+	const n, in, out, dim = 53, 7, 5, 9
+	// Row 20 is a mega-degree row whose edges all land on node 33, so row
+	// 20 dominates the forward index and node 33 the transposed one; each
+	// sits alone in its chunk.
+	indptr := make([]int64, n+1)
+	var indices []int32
+	for v := 0; v < n; v++ {
+		indptr[v] = int64(len(indices))
+		deg := rng.Intn(6)
+		if v == 20 {
+			deg = 600
+		}
+		for e := 0; e < deg; e++ {
+			u := int32(rng.Intn(n))
+			if v == 20 {
+				u = 33
+			}
+			indices = append(indices, u)
+		}
+	}
+	indptr[n] = int64(len(indices))
+	tIndptr, tSrc := transposeCSR(n, indptr, indices, n)
+	chunks := []int32{0, 6, 13, 20, 21, 29, 37, n}
+	tChunks := []int32{0, 9, 18, 33, 34, 45, n}
+
+	h := randomMatrix(rng, n, in)
+	w := randomMatrix(rng, 2*in, out)
+	src := randomMatrix(rng, n, dim)
+	init := randomMatrix(rng, n, dim)
+	scale := make([]float32, n)
+	for i := range scale {
+		scale[i] = rng.Float32()
+	}
+	wantPre, concat := refFusedForward(h, w, indptr, indices, scale, n)
+	wantT := init.Clone()
+	refSpMMTrans(wantT, src, indptr, indices, scale, n)
+
+	lists := map[string][]int32{
+		"empty":     {},
+		"single":    {17},
+		"gapped":    {1, 2, 14, 15, 30, 44, 51},
+		"mega":      {3, 20, 33, 50},
+		"mid-chunk": allRows(10),
+	}
+	for i := 0; i < 4; i++ {
+		a, _ := randomSplit(rng, n)
+		lists["random"+string(rune('0'+i))] = a
+	}
+	for _, width := range []int{1, 2} {
+		maxProcs = width
+		for name, rows := range lists {
+			listed := make([]bool, n)
+			for _, v := range rows {
+				listed[v] = true
+			}
+			pre, z := New(n, out), New(n, in)
+			fillSentinel(pre)
+			fillSentinel(z)
+			SpMMMatMulRows(pre, z, h, w, indptr, indices, scale, chunks, rows)
+			dst := init.Clone()
+			SpMMTransRows(dst, src, tIndptr, tSrc, scale, tChunks, rows)
+			for _, cs := range [][]int32{chunks, nil} { // nil chunks run inline
+				covered := make([]int32, n)
+				ParallelRowChunks(rows, cs, func(sub []int32) {
+					for _, v := range sub {
+						atomic.AddInt32(&covered[v], 1)
+					}
+				})
+				for v, c := range covered {
+					if listed[v] != (c == 1) || c > 1 {
+						t.Fatalf("%s: ParallelRowChunks (chunks %v) covered row %d %d times (listed %v)", name, cs != nil, v, c, listed[v])
+					}
+				}
+			}
+			for v := 0; v < n; v++ {
+				wantZ, wantP, wantD := concat.Row(v)[:in], wantPre.Row(v), wantT.Row(v)
+				if !listed[v] {
+					wantZ, wantP, wantD = sentinelRow(in), sentinelRow(out), init.Row(v)
+				}
+				sameBitsF32(t, name+"/z", z.Row(v), wantZ)
+				sameBitsF32(t, name+"/pre", pre.Row(v), wantP)
+				sameBitsF32(t, name+"/trans", dst.Row(v), wantD)
+			}
+		}
+	}
+}
+
+// sentinelRow is a row fillSentinel wrote.
+func sentinelRow(n int) []float32 {
+	row := make([]float32, n)
+	for i := range row {
+		row[i] = -12345.5
+	}
+	return row
 }
